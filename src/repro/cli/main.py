@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import zlib
 from pathlib import Path
 
 from repro.analysis.characterize import characterize
@@ -1730,34 +1731,6 @@ def cmd_characterize(args) -> int:
     return 0
 
 
-def _sniff_trace_format(path: str) -> str:
-    """Guess ``native`` vs ``nfsdump`` from the first data line.
-
-    Native text lines carry a bare ``C``/``R`` direction as the second
-    column; nfsdump puts a ``host.port`` source address there.  Binary
-    files are native by construction (the suffix selects the codec).
-    """
-    import gzip as _gzip
-    import io as _io
-
-    if is_binary_trace_path(path):
-        return "native"
-    if str(path).endswith(".gz"):
-        handle = _io.TextIOWrapper(_gzip.open(path, "rb"), encoding="utf-8")
-    else:
-        handle = open(path, "r", encoding="utf-8")
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(None, 2)
-            if len(parts) > 1 and parts[1] in ("C", "R"):
-                return "native"
-            return "nfsdump"
-    return "native"  # empty file: zero records either way
-
-
 def cmd_ingest(args) -> int:
     """Ingest a foreign trace archive through a registered adapter.
 
@@ -1798,22 +1771,30 @@ def cmd_convert(args) -> int:
     nfsdump captures are imported through the ingest pipeline's
     ``nfsdump`` adapter (``repro ingest`` is the general form — this
     alias survives for scripts); native traces are transcoded
-    record-for-record.  ``--out`` picks the container:
-    ``.rtb``/``.rtb.gz`` binary, anything else text.
+    record-for-record.  ``--from auto`` takes a binary suffix as
+    native and otherwise asks the nfsdump adapter's sniffer.  ``--out``
+    picks the container: ``.rtb``/``.rtb.gz`` binary, anything else
+    text.
     """
+    from repro.ingest import REGISTRY, ingest
+
     if not Path(args.input).is_file():
         # validate before TraceWriter opens --out, or a failed convert
         # leaves a stray empty output file behind
         raise FileNotFoundError(f"trace not found: {args.input}")
     source_format = args.source_format
     if source_format == "auto":
-        source_format = _sniff_trace_format(args.input)
+        source_format = "native"
+        if not is_binary_trace_path(args.input):
+            try:
+                if REGISTRY.get("nfsdump").sniff(args.input) > 0.0:
+                    source_format = "nfsdump"
+            except (EOFError, OSError, zlib.error):
+                pass  # unreadable head: the native reader names the fault
     if source_format == "nfsdump":
-        from repro.trace.nfsdump import convert_nfsdump
-
-        stats = convert_nfsdump(args.input, args.out)
+        stats = ingest(args.input, args.out, fmt="nfsdump")
         print(
-            f"converted {stats.converted} of {stats.lines} lines "
+            f"converted {stats.records} of {stats.lines} lines "
             f"({stats.skipped} skipped) -> {args.out}"
         )
         return 0

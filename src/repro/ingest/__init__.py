@@ -29,18 +29,12 @@ from repro.ingest.core import (
     ingest,
     normalize,
     open_lines,
-    resolve_adapter,
 )
 from repro.ingest.registry import AdapterRegistry
 
 #: The process-wide registry the CLI and tests discover adapters from.
 REGISTRY = AdapterRegistry()
 register_builtin(REGISTRY)
-
-
-def adapter_names() -> list:
-    """Names of every registered adapter, in registration order."""
-    return REGISTRY.names()
 
 
 __all__ = [
@@ -54,10 +48,8 @@ __all__ = [
     "SNIFF_LINES",
     "TraceAdapter",
     "XidSynth",
-    "adapter_names",
     "ingest",
     "normalize",
     "open_lines",
-    "resolve_adapter",
     "synth_handle",
 ]

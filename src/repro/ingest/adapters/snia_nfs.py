@@ -22,9 +22,9 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, Sequence
 
+from repro.ingest.adapters.nfsdump import FTYPES, PROC_ALIASES
 from repro.ingest.base import AdapterEvent, BadLine, TraceAdapter, data_lines
 from repro.nfs.messages import NfsStatus
-from repro.trace.nfsdump import _FTYPES, _PROC_ALIASES
 from repro.trace.record import Direction, TraceRecord
 
 _DIRVER = re.compile(r"^[CR][23]$")
@@ -103,7 +103,7 @@ class SniaNfsAdapter(TraceAdapter):
         except ValueError:
             return BadLine("bad-value", line, lineno)
         direction = Direction.CALL if dirver[0] == "C" else Direction.REPLY
-        proc = _PROC_ALIASES.get(tokens[5].lower())
+        proc = PROC_ALIASES.get(tokens[5].lower())
         if proc is None:
             return BadLine("unknown-proc", line, lineno)
         record = TraceRecord(
@@ -152,7 +152,7 @@ class SniaNfsAdapter(TraceAdapter):
         if key == "ftype":
             record.attr_ftype = (
                 value if value in ("REG", "DIR", "LNK")
-                else _FTYPES.get(value, "REG")
+                else FTYPES.get(value, "REG")
             )
         elif key == "eof":
             record.eof = value not in ("0", "false")

@@ -18,10 +18,11 @@ tabulates.  Behaviour is two methods:
   :class:`~repro.errors.IngestError`) uniformly across every dialect.
 
 Adapters never open files themselves (the core handles paths, gzip,
-and stdin), never sort globally (the core's bounded reorder window
-repairs capture jitter), and never raise on bad data (they yield
-``BadLine``): that keeps every dialect byte-identical between file
-and ``--in -`` stream input, which the conformance harness asserts.
+and stdin), never sort globally (the core writes through the
+TraceWriter's bounded sort window, which repairs capture jitter), and
+never raise on bad data (they yield ``BadLine``): that keeps every
+dialect byte-identical between file and ``--in -`` stream input,
+which the conformance harness asserts.
 """
 
 from __future__ import annotations

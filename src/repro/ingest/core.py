@@ -7,15 +7,15 @@ same guarantees:
   :class:`~repro.ingest.base.BadLine`; ``skip`` counts them (the
   ``ingest.skipped{adapter,reason}`` metric) and drops them, ``fail``
   raises :class:`~repro.errors.IngestError` with the line diagnostic;
-* **monotonic wire time** — foreign captures jitter, so records pass
-  through a bounded reorder window that reuses
-  :class:`~repro.analysis.reorder.StreamReorderer` (the stream-exact
-  window sort the analyses already trust): each record is wrapped in a
-  shim whose sort key is ``(time, arrival)``, which turns the
-  reorderer's per-client lowest-XID-within-window pass into a bounded
-  stable time sort.  Records still regressing after the window are a
-  ``time-regression`` handled by the same error policy, so the emitted
-  stream is always non-decreasing in time;
+* **monotonic wire time** — foreign captures jitter, so :func:`ingest`
+  writes through a :class:`~repro.trace.writer.TraceWriter` whose
+  bounded sort window (``window`` seconds) lands records in stable
+  ``(time, arrival)`` order.  The writer flushes only records at
+  least ``window`` seconds behind the newest one, so a record arriving
+  more than ``window`` seconds behind the newest could sort before one
+  already written: it is a ``time-regression`` handled by the same
+  error policy, and the written trace is always non-decreasing in
+  time;
 * **string interning** — client/server/handle/name strings repeat
   enormously in real traces; one intern table keeps a single copy of
   each while records are in flight (the binary encoder then interns
@@ -32,15 +32,14 @@ import io
 import itertools
 import sys
 import zlib
-from collections import Counter, deque
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.analysis.reorder import StreamReorderer
 from repro.errors import IngestError
-from repro.ingest.base import BadLine, TraceAdapter
+from repro.ingest.base import SNIFF_LINES, BadLine
 from repro.obs.metrics import MetricsRegistry
 from repro.trace.record import TraceRecord
 from repro.trace.writer import TraceWriter
@@ -98,24 +97,6 @@ def open_lines(source):
     yield iter(source)
 
 
-class _TimeSlot:
-    """Shim wrapping a record for :class:`StreamReorderer` reuse.
-
-    The reorderer sorts each client's stream by XID within a bounded
-    look-ahead window.  Giving every slot the same pseudo-client and
-    ``(time, arrival)`` as the XID makes that pass a stable bounded
-    time sort over the whole stream — exactly monotonic-time repair.
-    """
-
-    __slots__ = ("time", "client", "xid", "record")
-
-    def __init__(self, time: float, seq: int, record: TraceRecord) -> None:
-        self.time = time
-        self.client = ""
-        self.xid = (time, seq)
-        self.record = record
-
-
 class _Interner:
     """One string-intern table shared across a run's record fields."""
 
@@ -148,16 +129,19 @@ def normalize(
     stats: IngestStats | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> Iterator[TraceRecord]:
-    """Normalize an adapter's event stream into sorted records.
+    """Apply the error policy to an adapter's event stream.
 
     ``events`` yields :class:`TraceRecord` and :class:`BadLine` (what
-    :meth:`TraceAdapter.records` produces).  The output stream is
-    non-decreasing in ``time`` and deterministic for a fixed input.
+    :meth:`TraceAdapter.records` produces).  Records pass through in
+    arrival order, less any that arrive more than ``window`` seconds
+    behind the newest record seen (a ``time-regression``), so a
+    ``TraceWriter(sort_window=window)`` fed this stream writes it
+    non-decreasing in time.  The output is deterministic for a fixed
+    input.
 
     Raises:
         IngestError: under the ``fail`` policy, on the first bad line
-            or residual time regression; always, for an invalid
-            ``on_error`` value.
+            or late record; always, for an invalid ``on_error`` value.
     """
     if on_error not in ("skip", "fail"):
         raise IngestError(
@@ -177,44 +161,27 @@ def normalize(
         if skip_counter is not None:
             skip_counter("ingest.skipped", adapter=adapter, reason=reason).inc()
 
-    ready: deque[_TimeSlot] = deque()
-    reorderer = StreamReorderer(window, ready.append)
-    seq = 0
     max_time = float("-inf")
-    last_emitted = float("-inf")
-
-    def emit() -> Iterator[TraceRecord]:
-        nonlocal last_emitted
-        while ready:
-            slot = ready.popleft()
-            record = slot.record
-            if record.time < last_emitted:
-                # more disorder than the window could repair
-                bad(
-                    "time-regression",
-                    f"record at {record.time:.6f} arrived more than "
-                    f"{window:g}s late (last emitted {last_emitted:.6f}); "
-                    f"raise the reorder window",
-                )
-                continue
-            last_emitted = record.time
-            stats.records += 1
-            yield record
-
     for event in events:
         if type(event) is BadLine:
             bad(event.reason, str(event))
             continue
-        if event.time < max_time:
+        time = event.time
+        if time < max_time:
             stats.out_of_order += 1
+            # strict: the writer flushes at most up to newest - window,
+            # so a record exactly on that horizon still lands in order
+            if time < max_time - window:
+                bad(
+                    "time-regression",
+                    f"record at {time:.6f} arrived more than {window:g}s "
+                    f"late (newest {max_time:.6f}); raise the reorder window",
+                )
+                continue
         else:
-            max_time = event.time
-        reorderer.push(_TimeSlot(event.time, seq, event))
-        seq += 1
-        if ready:
-            yield from emit()
-    reorderer.close()
-    yield from emit()
+            max_time = time
+        stats.records += 1
+        yield event
     if metrics is not None:
         metrics.counter("ingest.records", adapter=adapter).inc(stats.records)
         metrics.counter("ingest.lines", adapter=adapter).inc(stats.lines)
@@ -233,21 +200,6 @@ def _intern_records(
         record.target_name = intern(record.target_name)
         record.attr_ftype = intern(record.attr_ftype)
         yield record
-
-
-def resolve_adapter(registry, source, fmt: str = "auto") -> TraceAdapter:
-    """The adapter for ``source``: by name, or sniffed for ``auto``.
-
-    For streamed stdin the caller must buffer the head itself (see
-    :func:`ingest`); this helper reads the head from a path.
-    """
-    if fmt != "auto":
-        return registry.get(fmt)
-    from repro.ingest.base import SNIFF_LINES
-
-    with open_lines(source) as lines:
-        head = list(itertools.islice(lines, SNIFF_LINES))
-    return registry.sniff(head)
 
 
 def ingest(
@@ -270,7 +222,7 @@ def ingest(
 
     Raises:
         IngestError: unreadable input, bad policy, or (under ``fail``)
-            the first malformed line.
+            the first malformed line or late record.
         ValueError: unknown/ambiguous format, or zero records ingested
             (an empty archive converts to nothing useful).
     """
@@ -284,8 +236,6 @@ def ingest(
             with open_lines(source) as lines:
                 lines = _count_lines(lines, stats)
                 if fmt == "auto":
-                    from repro.ingest.base import SNIFF_LINES
-
                     head = list(itertools.islice(lines, SNIFF_LINES))
                     adapter = registry.sniff(head)
                     lines = itertools.chain(head, lines)
@@ -302,9 +252,10 @@ def ingest(
                         metrics=metrics,
                     )
                 )
-                # sorted already: writer's own window is pure pass-through
+                # the writer's window does the time repair normalize
+                # checked the stream against
                 with TraceWriter(
-                    out, sort_window=0.0, metrics=metrics
+                    out, sort_window=window, metrics=metrics
                 ) as writer:
                     for record in normalized:
                         writer.write(record)

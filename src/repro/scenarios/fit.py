@@ -1,7 +1,7 @@
 """Fit a scenario-spec skeleton to a paired trace.
 
 ``repro characterize`` runs this: given the paired operations of any
-trace (ingested with ``repro convert`` or produced by ``repro
+trace (ingested with ``repro ingest`` or produced by ``repro
 simulate``), estimate a flowops scenario whose rates, transfer-size
 distributions, and fileset shape approximate what the trace shows —
 a *synthetic twin* skeleton a human then tunes.

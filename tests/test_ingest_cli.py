@@ -165,3 +165,22 @@ class TestConvertAlias:
         assert main(["convert", "--in", str(src), "--out", str(out)]) == 0
         stdout = capsys.readouterr().out
         assert "converted 2 of 3 lines (1 skipped)" in stdout
+
+
+class TestConvertSniff:
+    def test_nfsdump_behind_a_garbage_head_line(self, tmp_path, capsys):
+        """Any nfsdump-shaped line in the head picks the nfsdump path."""
+        src = tmp_path / "dump.txt"
+        src.write_text("junk line\n" + NFSDUMP_LINES)
+        out = tmp_path / "out.rtb"
+        assert main(["convert", "--in", str(src), "--out", str(out)]) == 0
+        assert "converted 2 of 3 lines (1 skipped)" in capsys.readouterr().out
+
+    def test_unreadable_gzip_exits_cleanly(self, tmp_path, capsys):
+        src = tmp_path / "junk.trace.gz"
+        src.write_bytes(b"\x1f\x8b\x08\x00 truncated not really gzip")
+        out = tmp_path / "out.rtb"
+        _expect_error(capsys, [
+            "convert", "--in", str(src), "--out", str(out),
+        ], "corrupt")
+        assert not out.exists()

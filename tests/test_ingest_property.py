@@ -2,18 +2,25 @@
 
 The core's contract: for ANY interleaving of valid, out-of-order,
 duplicate, and garbage source lines, the ``skip`` policy never raises
-and always emits a time-sorted, deterministic stream; the ``fail``
-policy raises :class:`IngestError` exactly when something is wrong.
+and always writes a time-sorted trace from a deterministic record
+stream; the ``fail`` policy raises :class:`IngestError` exactly when
+something is wrong.
 """
+
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 from repro.errors import IngestError
-from repro.ingest import REGISTRY, IngestStats, normalize
+from repro.ingest import (
+    REGISTRY, AdapterRegistry, IngestStats, TraceAdapter, ingest, normalize,
+)
 from repro.ingest.base import BadLine
 from repro.nfs.procedures import NfsProc
+from repro.trace.reader import read_trace
 from repro.trace.record import Direction, TraceRecord
 
 
@@ -45,23 +52,84 @@ events_strategy = st.lists(
 )
 
 
+class _Canned(TraceAdapter):
+    """Replays a fixed event stream, whatever the source lines."""
+
+    name = "canned"
+    field_coverage = frozenset(
+        {"time", "direction", "xid", "client", "server", "proc"}
+    )
+
+    def __init__(self, events) -> None:
+        self.events = events
+
+    def sniff_lines(self, lines) -> float:
+        return 1.0
+
+    def records(self, lines):
+        yield from self.events
+
+
+def _ingest_events(events, out, *, window, on_error="skip") -> IngestStats:
+    registry = AdapterRegistry()
+    registry.register(_Canned(events))
+    return ingest([], out, registry=registry, fmt="canned",
+                  on_error=on_error, window=window)
+
+
 @given(events_strategy, st.floats(min_value=0.1, max_value=40.0))
 @settings(max_examples=200)
 def test_skip_never_raises_and_sorts(events, window):
-    """skip: any interleaving normalizes to a non-decreasing stream."""
-    stats = IngestStats(adapter="x")
-    out = list(
-        normalize(iter(events), adapter="x", on_error="skip",
-                  window=window, stats=stats)
-    )
-    times = [r.time for r in out]
-    assert times == sorted(times)
+    """skip: any interleaving ingests to a non-decreasing trace."""
     garbage = sum(1 for e in events if isinstance(e, BadLine))
     records = len(events) - garbage
-    # every record is either emitted or counted as skipped, never lost
-    assert stats.records == len(out)
-    assert stats.records + (stats.skipped - garbage) == records
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.rtb"
+        if records == 0:
+            with pytest.raises(ValueError, match="no records ingested"):
+                _ingest_events(events, out, window=window)
+            assert not out.exists()
+            return
+        stats = _ingest_events(events, out, window=window)
+        written = read_trace(out)
+    times = [r.time for r in written]
+    assert times == sorted(times)
+    # every record is either written or counted as skipped, never lost
+    assert stats.records == len(written)
+    assert len(written) + (stats.skipped - garbage) == records
     assert stats.skipped >= garbage
+
+
+def _calls(*times: float) -> list:
+    return [_record(time, xid) for xid, time in enumerate(times, 1)]
+
+
+class TestLateRecordRule:
+    """A record more than ``window`` behind the newest one is late."""
+
+    def test_skip_drops_a_record_past_the_window(self, tmp_path):
+        out = tmp_path / "out.rtb"
+        stats = _ingest_events(_calls(0.0, 10.0, 3.0), out, window=5.0)
+        assert stats.reasons == {"time-regression": 1}
+        assert stats.skipped == 1
+        assert [r.time for r in read_trace(out)] == [0.0, 10.0]
+
+    def test_fail_raises_on_a_record_past_the_window(self, tmp_path):
+        out = tmp_path / "out.rtb"
+        with pytest.raises(IngestError, match="late"):
+            _ingest_events(_calls(0.0, 10.0, 3.0), out, window=5.0,
+                           on_error="fail")
+        assert not out.exists()
+
+    def test_record_exactly_window_behind_is_kept_in_order(self, tmp_path):
+        out = tmp_path / "out.rtb"
+        stats = _ingest_events(_calls(0.0, 5.0, 0.0), out, window=5.0,
+                               on_error="fail")
+        assert stats.skipped == 0
+        assert stats.out_of_order == 1
+        assert [(r.time, r.xid) for r in read_trace(out)] == [
+            (0.0, 1), (0.0, 3), (5.0, 2),
+        ]
 
 
 @given(events_strategy, st.floats(min_value=0.1, max_value=40.0))

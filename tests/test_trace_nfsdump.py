@@ -1,15 +1,11 @@
-"""Tests for the Ellard nfsdump-format converter."""
+"""Tests for the Ellard nfsdump-format adapter and its line parser."""
 
 import pytest
 
 from repro.analysis.pairing import pair_all
+from repro.ingest import BadLine, ingest
+from repro.ingest.adapters.nfsdump import NfsdumpAdapter, parse_nfsdump_line
 from repro.nfs import NfsProc, NfsStatus
-from repro.trace.nfsdump import (
-    ConversionStats,
-    convert_nfsdump,
-    iter_nfsdump,
-    parse_nfsdump_line,
-)
 from repro.trace.reader import read_trace
 
 LOOKUP_CALL = (
@@ -94,17 +90,18 @@ class TestParseLine:
 
 class TestIterAndConvert:
     def test_iter_skips_garbage(self):
-        stats = ConversionStats()
         lines = [LOOKUP_CALL, "# comment", "", "garbage line here", LOOKUP_REPLY]
-        records = list(iter_nfsdump(lines, stats))
+        events = list(NfsdumpAdapter().records(lines))
+        records = [e for e in events if not isinstance(e, BadLine)]
+        bad = [e for e in events if isinstance(e, BadLine)]
         assert len(records) == 2
-        assert stats.converted == 2
-        assert stats.skipped == 1
+        assert len(bad) == 1
+        assert bad[0].lineno == 4
 
     def test_converted_pair_is_analyzable(self):
         """The converted stream pairs and analyzes like a native one."""
-        records = list(iter_nfsdump([LOOKUP_CALL, LOOKUP_REPLY,
-                                     READ_CALL, READ_REPLY]))
+        records = list(NfsdumpAdapter().records([LOOKUP_CALL, LOOKUP_REPLY,
+                                                 READ_CALL, READ_REPLY]))
         ops, stats = pair_all(records)
         assert len(ops) == 2
         assert stats.orphan_replies == 0
@@ -117,8 +114,8 @@ class TestIterAndConvert:
         src.write_text("\n".join([LOOKUP_CALL, LOOKUP_REPLY, READ_CALL,
                                   READ_REPLY]) + "\n")
         dst = tmp_path / "out.trace.gz"
-        stats = convert_nfsdump(src, dst)
-        assert stats.converted == 4
+        stats = ingest(src, dst, fmt="nfsdump")
+        assert stats.records == 4
         reread = read_trace(dst)
         assert len(reread) == 4
         assert reread[0].name == ".profile"
@@ -130,5 +127,5 @@ class TestIterAndConvert:
         with gzip.open(src, "wt") as f:
             f.write(LOOKUP_CALL + "\n")
         dst = tmp_path / "out.trace"
-        stats = convert_nfsdump(src, dst)
-        assert stats.converted == 1
+        stats = ingest(src, dst, fmt="nfsdump")
+        assert stats.records == 1
