@@ -613,19 +613,19 @@ def run_scenario_smoke() -> int:
 def run_shard_smoke(out_path: str | None = None) -> int:
     """CI gate: the sharded simulator must be exact *and* must pay.
 
-    Exactness: the merged trace bytes, the aggregated fault-ledger
-    prediction, and the span stream must be byte-identical for
-    ``--shards`` in {1, 2, 4} (see docs/PERFORMANCE.md for why the
-    client-group scheme guarantees this).  Performance:
+    Exactness: the ``.rtb.gz`` file the merged trace is written to,
+    the aggregated fault-ledger prediction, and the span stream must
+    be byte-identical for ``--shards`` in {1, 2, 4} (see
+    docs/PERFORMANCE.md for why the client-group scheme guarantees
+    this).  Performance:
     ``shard_speedup_2`` (1-shard wall over 2-shard wall, best of
     three, warm pool) must clear :data:`SPEEDUP_FLOOR` on runners with
     >= 2 cores and :data:`OVERSUBSCRIBED_FLOOR` otherwise.
     """
-    import io
     import os
 
     from repro.obs.eventlog import EventLog
-    from repro.trace.binfmt import BinaryTraceEncoder
+    from repro.trace import TraceWriter
     from repro.workloads import run_sharded
 
     cores = os.cpu_count() or 1
@@ -638,12 +638,13 @@ def run_shard_smoke(out_path: str | None = None) -> int:
             mirror_bandwidth=2e6, faults="drop(p=0.01)", trace_sample=0.25,
         )
 
-    def trace_bytes(run):
-        buffer = io.BytesIO()
-        encoder = BinaryTraceEncoder(buffer, buffered=True)
-        encoder.encode_block(list(run.merged()))
-        encoder.flush()
-        return buffer.getvalue()
+    def trace_bytes(run, path):
+        # the file a user gets: `simulate --shards N` writes the merged
+        # stream through TraceWriter into the gzip container
+        with TraceWriter(path) as writer:
+            for record in run.merged():
+                writer.write(record)
+        return path.read_bytes()
 
     def span_count(run):
         log = EventLog()
@@ -663,9 +664,13 @@ def run_shard_smoke(out_path: str | None = None) -> int:
         walls[shards] = best
 
     failures = []
-    reference = trace_bytes(runs[1])
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {
+            shards: trace_bytes(run, Path(tmp) / f"shards-{shards}.rtb.gz")
+            for shards, run in runs.items()
+        }
     for shards in (2, 4):
-        if trace_bytes(runs[shards]) != reference:
+        if files[shards] != files[1]:
             failures.append(f"trace bytes diverged at shards={shards}")
         if runs[shards].fault_stats != runs[1].fault_stats:
             failures.append(f"fault stats diverged at shards={shards}")

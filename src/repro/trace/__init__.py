@@ -19,7 +19,6 @@ from repro.trace.binfmt import (
     BinaryTraceEncoder,
     is_binary_trace_path,
     read_binary_trace,
-    write_binary_trace,
 )
 from repro.trace.record import Direction, TraceRecord
 from repro.trace.writer import TraceWriter, write_trace
@@ -36,7 +35,6 @@ __all__ = [
     "TraceCollector",
     "is_binary_trace_path",
     "read_binary_trace",
-    "write_binary_trace",
     "write_trace",
     "read_trace",
 ]

@@ -3,6 +3,7 @@
 import gzip
 import io
 import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,6 @@ from repro.trace import (
     is_binary_trace_path,
     read_binary_trace,
     read_trace,
-    write_binary_trace,
     write_trace,
 )
 from repro.trace.binfmt import FORMAT_VERSION, MAGIC
@@ -91,7 +91,7 @@ class TestRoundTrip:
     def test_module_level_helpers(self, tmp_path):
         path = tmp_path / "t.rtb"
         records = sample_records()
-        assert write_binary_trace(path, records) == len(records)
+        assert write_trace(path, records) == len(records)
         assert read_binary_trace(path) == records
 
     def test_gzip_output_is_gzip(self, tmp_path):
@@ -99,6 +99,28 @@ class TestRoundTrip:
         write_trace(path, sample_records())
         with gzip.open(path, "rb") as f:
             assert f.read(4) == MAGIC
+
+    @pytest.mark.parametrize("name", ["t.rtb.gz", "t.trace.gz"])
+    def test_gzip_header_is_pinned(self, tmp_path, name):
+        path = tmp_path / name
+        write_trace(path, sample_records())
+        # magic, deflate, no flags (so no FNAME), mtime 0, XFL 0 (level
+        # 9 would write 2), OS 255
+        assert path.read_bytes()[:10] == bytes.fromhex("1f8b08000000000000ff")
+
+    def test_gzip_body_is_level_6_deflate(self, tmp_path):
+        # the text container is not pinned here: its TextIOWrapper
+        # flushes the GzipFile at close, adding a Z_SYNC_FLUSH marker
+        path = tmp_path / "t.rtb.gz"
+        # one copy of the sample deflates to the same bytes at levels 6
+        # and 9; repeats give the level-9 match search something to find
+        write_trace(path, sample_records() * 50)
+        data = path.read_bytes()
+        deflate = zlib.compressobj(
+            6, zlib.DEFLATED, -zlib.MAX_WBITS, zlib.DEF_MEM_LEVEL, 0
+        )
+        raw = gzip.decompress(data)
+        assert data[10:-8] == deflate.compress(raw) + deflate.flush()
 
     def test_lines_match_text_format(self, tmp_path):
         records = sample_records()
