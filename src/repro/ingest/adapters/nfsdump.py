@@ -8,23 +8,26 @@ modified tcpdump, shaped like::
     1004562602.021667 31.03f2 30.0801 U R3 fa09d317 3 lookup OK ftype 1 fh 6189...10 size 1086 ... con = 130 len = 140
 
 i.e.: timestamp, source ``host.port``, destination ``host.port``,
-transport (``U``/``T``), direction+version (``C2/C3/R2/R3``), hex XID,
-procedure number, procedure name, then procedure-specific ``key value``
-pairs (with replies carrying a status token first), and trailing
-``con = N len = M`` accounting.
+transport (``U``/``T``), direction+version (exactly one of ``C2``,
+``C3``, ``R2`` or ``R3``), hex XID, procedure number, procedure name,
+then procedure-specific ``key value`` pairs (with replies carrying a
+status token first), and trailing ``con = N len = M`` accounting.
 
 The parser is deliberately *best-effort*: fields it does not
 understand are skipped, and only the fields the analyses consume are
-extracted.  Values follow nfsdump conventions: hexadecimal for
-offsets/counts/sizes/ids, ``SECS.USECS`` for times.  Malformed lines
-become :class:`BadLine` events, so skip-vs-fail belongs to the shared
-normalization core.  :data:`PROC_ALIASES` and :data:`FTYPES` are shared
-with the SNIA-style dialect, which uses the same names and codes.
+extracted.  A line without a ``"`` costs one ``str.split()``; only
+quoted names send it through the quote-aware re-join.  The
+``key value`` scan is table-driven (:data:`_CALL_KEYS`,
+:data:`_REPLY_KEYS`: key -> record field and converter).  Values
+follow nfsdump conventions: hexadecimal for offsets/counts/sizes/ids,
+``SECS.USECS`` for times.  Malformed lines become :class:`BadLine`
+events, so skip-vs-fail belongs to the shared normalization core.
+:data:`PROC_ALIASES` and :data:`FTYPES` are shared with the SNIA-style
+dialect, which uses the same names and codes.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Iterator, Sequence
 
 from repro.ingest.base import AdapterEvent, BadLine, TraceAdapter, data_lines
@@ -62,8 +65,12 @@ PROC_ALIASES = {
 #: nfsdump ftype numbers (NFSv3 ftype3) -> our attr_ftype strings.
 FTYPES = {"1": "REG", "2": "DIR", "5": "LNK"}
 
-#: direction+version token (C3, R2, ...) at its nfsdump position.
-_DIRVER = re.compile(r"^[CR][23]$")
+#: the four direction+version tokens -> (direction, version); any
+#: other token is a ``bad direction/version token``
+_DIRVERS = {
+    "C2": (Direction.CALL, 2), "C3": (Direction.CALL, 3),
+    "R2": (Direction.REPLY, 2), "R3": (Direction.REPLY, 3),
+}
 
 
 def parse_nfsdump_line(line: str) -> TraceRecord | None:
@@ -72,44 +79,69 @@ def parse_nfsdump_line(line: str) -> TraceRecord | None:
     Raises:
         ValueError: when the line looks like a record but is malformed.
     """
-    tokens = _tokenize(line)
-    if len(tokens) < 8:
+    tokens = line.split()
+    if '"' in line:
+        tokens = _tokenize(tokens)
+    n = len(tokens)
+    if n < 8:
         return None
     time = float(tokens[0])
-    src, dst = tokens[1], tokens[2]
     # tokens[3] is the transport (U/T); direction+version is tokens[4]
-    dirver = tokens[4]
-    if len(dirver) < 2 or dirver[0] not in ("C", "R"):
-        raise ValueError(f"bad direction/version token {dirver!r}")
-    direction = Direction.CALL if dirver[0] == "C" else Direction.REPLY
-    version = int(dirver[1])
+    dirver = _DIRVERS.get(tokens[4])
+    if dirver is None:
+        raise ValueError(f"bad direction/version token {tokens[4]!r}")
+    direction, version = dirver
     xid = int(tokens[5], 16)
-    proc_name = tokens[7].lower()
-    proc = PROC_ALIASES.get(proc_name)
+    proc = PROC_ALIASES.get(tokens[7].lower())
     if proc is None:
-        raise ValueError(f"unknown procedure {proc_name!r}")
+        raise ValueError(f"unknown procedure {tokens[7].lower()!r}")
     if direction == Direction.CALL:
-        client, server = src, dst
+        record = TraceRecord(
+            time, direction, xid, tokens[1], tokens[2], proc, version,
+        )
+        keys = _CALL_KEYS
+        i = 8
     else:
-        client, server = dst, src
-    record = TraceRecord(
-        time=time, direction=direction, xid=xid,
-        client=client, server=server, proc=proc, version=version,
-    )
-    rest = tokens[8:]
-    if direction == Direction.REPLY:
-        if rest:
-            record.status = _parse_status(rest[0])
-            rest = rest[1:]
-        else:
-            record.status = NfsStatus.OK
-    _parse_fields(record, rest, direction)
+        # a reply's first token after the procedure is its status
+        record = TraceRecord(
+            time, direction, xid, tokens[2], tokens[1], proc, version,
+            _parse_status(tokens[8]) if n > 8 else NfsStatus.OK,
+        )
+        keys = _REPLY_KEYS
+        i = 9
+    # ``key value`` pairs to the end; a trailing key without a value
+    # carries nothing
+    last = n - 1
+    while i < last:
+        key = tokens[i]
+        value = tokens[i + 1]
+        i += 2
+        entry = keys.get(key)
+        if entry is not None:
+            field, convert = entry
+            try:
+                setattr(record, field, convert(value))
+            except ValueError as exc:
+                raise ValueError(f"bad value for {key!r}: {value!r}") from exc
+        elif key == "fh":
+            # a second handle is the target's
+            if record.fh is None:
+                record.fh = value
+            else:
+                record.target_fh = value
+        elif key == "fh2":
+            record.target_fh = value
+        elif key == "con" or key == "len":
+            # ``con = N len = M`` accounting: the ``=`` is optional
+            if value == "=":
+                i += 1
+        # every other key (mode, nlink, atime, ctime, tsize, ...)
+        # carries nothing the analyses need: skip it
     return record
 
 
-def _tokenize(line: str) -> list[str]:
-    """Whitespace tokenization that keeps quoted names intact."""
-    raw = line.split()
+def _tokenize(raw: list[str]) -> list[str]:
+    """Rejoin the whitespace-split tokens of quoted names."""
     tokens: list[str] = []
     buffer: list[str] = []
     for token in raw:
@@ -139,67 +171,48 @@ def _parse_status(token: str) -> NfsStatus:
         return NfsStatus.IO
 
 
-def _parse_fields(record: TraceRecord, tokens: list[str], direction: str) -> None:
-    """Consume ``key value`` pairs; unknown keys are skipped."""
-    i = 0
-    n = len(tokens)
-    while i < n:
-        key = tokens[i]
-        if key in ("con", "len"):
-            i += 3 if i + 1 < n and tokens[i + 1] == "=" else 2
-            continue
-        if i + 1 >= n:
-            break
-        value = tokens[i + 1]
-        i += 2
-        try:
-            if key in ("fh", "fh2"):
-                # a second handle (or an explicit fh2) is the target's
-                if key == "fh" and record.fh is None:
-                    record.fh = value
-                else:
-                    record.target_fh = value
-            elif key in ("name", "fn"):
-                record.name = _clean_name(value)
-            elif key in ("name2", "fn2"):
-                record.target_name = _clean_name(value)
-            elif key in ("off", "offset"):
-                record.offset = int(value, 16)
-            elif key == "count":
-                record.count = int(value, 16)
-            elif key == "size":
-                if direction == Direction.REPLY:
-                    record.attr_size = int(value, 16)
-                else:
-                    record.size = int(value, 16)
-            elif key == "eof":
-                record.eof = value not in ("0", "false")
-            elif key == "ftype":
-                record.attr_ftype = FTYPES.get(value, "REG")
-            elif key == "mtime":
-                record.attr_mtime = float(value)
-            elif key == "fileid":
-                record.attr_fileid = int(value, 16)
-            elif key == "uid":
-                if direction == Direction.CALL:
-                    record.uid = int(value, 16)
-                else:
-                    record.attr_uid = int(value, 16)
-            elif key == "gid":
-                if direction == Direction.CALL:
-                    record.gid = int(value, 16)
-                else:
-                    record.attr_gid = int(value, 16)
-            # every other key (mode, nlink, atime, ctime, tsize, ...)
-            # carries nothing the analyses need: skip it
-        except ValueError as exc:
-            raise ValueError(f"bad value for {key!r}: {value!r}") from exc
+def _hex(value: str) -> int:
+    return int(value, 16)
+
+
+def _eof(value: str) -> bool:
+    return value not in ("0", "false")
+
+
+def _ftype(value: str) -> str:
+    return FTYPES.get(value, "REG")
 
 
 def _clean_name(value: str) -> str:
     """Strip quotes and percent-encode whitespace (per docs/FORMAT.md,
     the trace format's fields are whitespace-free)."""
     return value.strip('"').replace(" ", "%20").replace("\t", "%09")
+
+
+#: ``key value`` pairs -> (record field, converter), for calls and for
+#: replies; only ``size``, ``uid`` and ``gid`` differ between the two
+_CALL_KEYS = {
+    "name": ("name", _clean_name),
+    "fn": ("name", _clean_name),
+    "name2": ("target_name", _clean_name),
+    "fn2": ("target_name", _clean_name),
+    "off": ("offset", _hex),
+    "offset": ("offset", _hex),
+    "count": ("count", _hex),
+    "eof": ("eof", _eof),
+    "ftype": ("attr_ftype", _ftype),
+    "mtime": ("attr_mtime", float),
+    "fileid": ("attr_fileid", _hex),
+    "size": ("size", _hex),
+    "uid": ("uid", _hex),
+    "gid": ("gid", _hex),
+}
+_REPLY_KEYS = {
+    **_CALL_KEYS,
+    "size": ("attr_size", _hex),
+    "uid": ("attr_uid", _hex),
+    "gid": ("attr_gid", _hex),
+}
 
 
 def _reason(exc: ValueError) -> str:
@@ -240,7 +253,7 @@ class NfsdumpAdapter(TraceAdapter):
                 len(tokens) >= 6
                 and "." in tokens[0]
                 and tokens[3] in ("U", "T")
-                and _DIRVER.match(tokens[4])
+                and tokens[4] in _DIRVERS
                 and "." in tokens[1]
                 and "." in tokens[2]
                 and _is_float(tokens[0])

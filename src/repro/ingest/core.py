@@ -9,15 +9,16 @@ same guarantees:
   raises :class:`~repro.errors.IngestError` with the line diagnostic;
 * **monotonic wire time** — foreign captures jitter, so :func:`ingest`
   writes through a :class:`~repro.trace.writer.TraceWriter` whose
-  bounded sort window (``window`` seconds) lands records in stable
-  ``(time, arrival)`` order.  The writer flushes only records at
-  least ``window`` seconds behind the newest one, so a record arriving
-  more than ``window`` seconds behind the newest could sort before one
-  already written: it is a ``time-regression`` handled by the same
-  error policy, and the written trace is always non-decreasing in
-  time;
+  bounded sort window (``window`` seconds, a finite number >= 0)
+  lands records in stable ``(time, arrival)`` order.  The writer
+  flushes only records at least ``window`` seconds behind the newest
+  one, so a record arriving more than ``window`` seconds behind the
+  newest could sort before one already written: it is a
+  ``time-regression`` handled by the same error policy, as is a
+  record whose time is not finite (``bad-time``), and the written
+  trace is always non-decreasing in time;
 * **string interning** — client/server/handle/name strings repeat
-  enormously in real traces; one intern table keeps a single copy of
+  enormously in real traces; :func:`sys.intern` keeps a single copy of
   each while records are in flight (the binary encoder then interns
   again on disk);
 * **deterministic output** — no wall clock, no randomness: the same
@@ -30,6 +31,7 @@ from __future__ import annotations
 import gzip
 import io
 import itertools
+import math
 import sys
 import zlib
 from collections import Counter
@@ -97,23 +99,6 @@ def open_lines(source):
     yield iter(source)
 
 
-class _Interner:
-    """One string-intern table shared across a run's record fields."""
-
-    __slots__ = ("_table",)
-
-    def __init__(self) -> None:
-        self._table: dict[str, str] = {}
-
-    def __call__(self, value):
-        if value is None:
-            return None
-        interned = self._table.get(value)
-        if interned is None:
-            interned = self._table[value] = sys.intern(value)
-        return interned
-
-
 def _count_lines(lines: Iterable[str], stats: IngestStats) -> Iterator[str]:
     for line in lines:
         stats.lines += 1
@@ -133,15 +118,17 @@ def normalize(
 
     ``events`` yields :class:`TraceRecord` and :class:`BadLine` (what
     :meth:`TraceAdapter.records` produces).  Records pass through in
-    arrival order, less any that arrive more than ``window`` seconds
-    behind the newest record seen (a ``time-regression``), so a
-    ``TraceWriter(sort_window=window)`` fed this stream writes it
-    non-decreasing in time.  The output is deterministic for a fixed
-    input.
+    arrival order, less any whose time is not finite (``bad-time``:
+    ``nan``, ``inf`` or ``-inf``) and any that arrive more than
+    ``window`` seconds behind the newest record seen (a
+    ``time-regression``), so a ``TraceWriter(sort_window=window)`` fed
+    this stream writes it non-decreasing in time.  The output is
+    deterministic for a fixed input.
 
     Raises:
-        IngestError: under the ``fail`` policy, on the first bad line
-            or late record; always, for an invalid ``on_error`` value.
+        IngestError: under the ``fail`` policy, on the first bad line,
+            non-finite time or late record; always, for an invalid
+            ``on_error`` value.
     """
     if on_error not in ("skip", "fail"):
         raise IngestError(
@@ -161,12 +148,22 @@ def normalize(
         if skip_counter is not None:
             skip_counter("ingest.skipped", adapter=adapter, reason=reason).inc()
 
+    isfinite = math.isfinite
     max_time = float("-inf")
     for event in events:
         if type(event) is BadLine:
             bad(event.reason, str(event))
             continue
         time = event.time
+        if not isfinite(time):
+            # nan compares false with everything and inf outruns every
+            # later record: either would break the time repair
+            bad(
+                "bad-time",
+                f"record time {time!r} is not finite "
+                f"(client {event.client}, xid {event.xid:x})",
+            )
+            continue
         if time < max_time:
             stats.out_of_order += 1
             # strict: the writer flushes at most up to newest - window,
@@ -190,15 +187,20 @@ def normalize(
 def _intern_records(
     records: Iterable[TraceRecord],
 ) -> Iterator[TraceRecord]:
-    intern = _Interner()
+    intern = sys.intern
     for record in records:
         record.client = intern(record.client)
         record.server = intern(record.server)
-        record.fh = intern(record.fh)
-        record.name = intern(record.name)
-        record.target_fh = intern(record.target_fh)
-        record.target_name = intern(record.target_name)
-        record.attr_ftype = intern(record.attr_ftype)
+        if record.fh is not None:
+            record.fh = intern(record.fh)
+        if record.name is not None:
+            record.name = intern(record.name)
+        if record.target_fh is not None:
+            record.target_fh = intern(record.target_fh)
+        if record.target_name is not None:
+            record.target_name = intern(record.target_name)
+        if record.attr_ftype is not None:
+            record.attr_ftype = intern(record.attr_ftype)
         yield record
 
 
@@ -221,11 +223,19 @@ def ingest(
     unlinked, so a failed ingest leaves nothing behind.
 
     Raises:
-        IngestError: unreadable input, bad policy, or (under ``fail``)
-            the first malformed line or late record.
+        IngestError: unreadable input, bad policy, a ``window`` that is
+            not a finite number >= 0 (raised before ``out`` is touched),
+            or (under ``fail``) the first malformed line, non-finite
+            time or late record.
         ValueError: unknown/ambiguous format, or zero records ingested
             (an empty archive converts to nothing useful).
     """
+    # a nan or inf window never flushes (the whole input stays in
+    # memory) and never finds a record late; a negative one acts as 0
+    if not (math.isfinite(window) and window >= 0):
+        raise IngestError(
+            f"reorder window must be a finite number >= 0, got {window!r}"
+        )
     if registry is None:
         from repro.ingest import REGISTRY
 

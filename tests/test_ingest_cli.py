@@ -101,6 +101,21 @@ class TestIngestErrors:
         assert "line 3" in err  # names the offending line
         assert not out.exists()
 
+    @pytest.mark.parametrize("window", ["nan", "inf", "-3"])
+    def test_reorder_window_must_be_finite_and_non_negative(
+        self, tmp_path, capsys, window
+    ):
+        src = tmp_path / "in.txt"
+        src.write_text(NFSDUMP_LINES)
+        out = tmp_path / "out.rtb"
+        out.write_bytes(b"an earlier trace")
+        _expect_error(capsys, [
+            "ingest", "--in", str(src), "--reorder-window", window,
+            "--out", str(out),
+        ], "reorder window")
+        # rejected before the output is opened, so it survives
+        assert out.read_bytes() == b"an earlier trace"
+
     def test_missing_input(self, tmp_path, capsys):
         out = tmp_path / "out.rtb"
         _expect_error(capsys, [
@@ -119,6 +134,14 @@ class TestIngestHappyPath:
         assert "ingested 2 records" in stdout
         assert "1 skipped" in stdout
         assert "nfsdump" in stdout
+
+    def test_zero_reorder_window_is_strict_order(self, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        src.write_text(NFSDUMP_LINES)
+        out = tmp_path / "out.rtb"
+        assert main(["ingest", "--in", str(src), "--reorder-window", "0",
+                     "--out", str(out)]) == 0
+        assert "ingested 2 records" in capsys.readouterr().out
 
     def test_gzip_source(self, tmp_path, capsys):
         src = tmp_path / "in.txt.gz"

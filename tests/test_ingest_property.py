@@ -7,6 +7,7 @@ stream; the ``fail`` policy raises :class:`IngestError` exactly when
 something is wrong.
 """
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -31,14 +32,17 @@ def _record(time: float, xid: int) -> TraceRecord:
     )
 
 
-# an adapter event stream: records with arbitrary (bounded) times
-# interleaved with BadLine garbage; duplicates arise naturally from
-# the narrow time/xid ranges
+# an adapter event stream: records with arbitrary (bounded) times,
+# now and then a non-finite one, interleaved with BadLine garbage;
+# duplicates arise naturally from the narrow time/xid ranges
 events_strategy = st.lists(
     st.one_of(
         st.builds(
             _record,
-            st.floats(min_value=0.0, max_value=30.0, allow_nan=False),
+            st.one_of(
+                st.floats(min_value=0.0, max_value=30.0, allow_nan=False),
+                st.sampled_from([math.nan, math.inf, -math.inf]),
+            ),
             st.integers(min_value=1, max_value=5),
         ),
         st.builds(
@@ -80,8 +84,12 @@ def _ingest_events(events, out, *, window, on_error="skip") -> IngestStats:
 @given(events_strategy, st.floats(min_value=0.1, max_value=40.0))
 @settings(max_examples=200)
 def test_skip_never_raises_and_sorts(events, window):
-    """skip: any interleaving ingests to a non-decreasing trace."""
-    garbage = sum(1 for e in events if isinstance(e, BadLine))
+    """skip: any interleaving ingests to a finite, non-decreasing trace."""
+    # a non-finite time is always skipped, like a garbage line
+    garbage = sum(
+        1 for e in events
+        if isinstance(e, BadLine) or not math.isfinite(e.time)
+    )
     records = len(events) - garbage
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out.rtb"
@@ -93,6 +101,7 @@ def test_skip_never_raises_and_sorts(events, window):
         stats = _ingest_events(events, out, window=window)
         written = read_trace(out)
     times = [r.time for r in written]
+    assert all(math.isfinite(t) for t in times)
     assert times == sorted(times)
     # every record is either written or counted as skipped, never lost
     assert stats.records == len(written)
@@ -130,6 +139,30 @@ class TestLateRecordRule:
         assert [(r.time, r.xid) for r in read_trace(out)] == [
             (0.0, 1), (0.0, 3), (5.0, 2),
         ]
+
+
+class TestNonFiniteTime:
+    """A record whose time is nan, inf or -inf is a ``bad-time``."""
+
+    def test_skip_drops_an_infinite_time(self, tmp_path):
+        out = tmp_path / "out.rtb"
+        stats = _ingest_events(_calls(0.0, math.inf, 1.0, 2.0), out,
+                               window=5.0)
+        assert stats.reasons == {"bad-time": 1}
+        assert [r.time for r in read_trace(out)] == [0.0, 1.0, 2.0]
+
+    def test_skip_drops_a_nan_time(self, tmp_path):
+        out = tmp_path / "out.rtb"
+        stats = _ingest_events(_calls(0.0, math.nan, 1.0), out, window=5.0)
+        assert stats.reasons == {"bad-time": 1}
+        assert [r.time for r in read_trace(out)] == [0.0, 1.0]
+
+    def test_fail_raises_on_an_infinite_time(self, tmp_path):
+        out = tmp_path / "out.rtb"
+        with pytest.raises(IngestError, match="not finite"):
+            _ingest_events(_calls(0.0, math.inf, 1.0), out, window=5.0,
+                           on_error="fail")
+        assert not out.exists()
 
 
 @given(events_strategy, st.floats(min_value=0.1, max_value=40.0))

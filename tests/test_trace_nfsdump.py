@@ -7,6 +7,7 @@ from repro.ingest import BadLine, ingest
 from repro.ingest.adapters.nfsdump import NfsdumpAdapter, parse_nfsdump_line
 from repro.nfs import NfsProc, NfsStatus
 from repro.trace.reader import read_trace
+from repro.trace.record import Direction, TraceRecord
 
 LOOKUP_CALL = (
     "1004562602.021187 30.0801 31.03f2 U C3 fa09d317 3 lookup "
@@ -120,6 +121,16 @@ class TestIterAndConvert:
         assert len(reread) == 4
         assert reread[0].name == ".profile"
 
+    def test_non_finite_time_is_skipped(self, tmp_path):
+        src = tmp_path / "dump.txt"
+        src.write_text("\n".join([
+            LOOKUP_CALL, "inf" + LOOKUP_REPLY[LOOKUP_REPLY.index(" "):],
+            READ_CALL, READ_REPLY,
+        ]) + "\n")
+        stats = ingest(src, tmp_path / "out.rtb", fmt="nfsdump")
+        assert stats.reasons == {"bad-time": 1}
+        assert stats.records == 3
+
     def test_convert_gzip_source(self, tmp_path):
         import gzip
 
@@ -129,3 +140,143 @@ class TestIterAndConvert:
         dst = tmp_path / "out.trace"
         stats = ingest(src, dst, fmt="nfsdump")
         assert stats.records == 1
+
+
+# -- the grammar, field by field ------------------------------------------------
+
+CALL = "1.0 30.0801 31.03f2 U C3 1a"
+REPLY = "1.0 31.03f2 30.0801 U R3 1a"
+
+
+def _call(proc, **fields):
+    return TraceRecord(1.0, Direction.CALL, 0x1A, "30.0801", "31.03f2",
+                       proc, 3, **fields)
+
+
+def _reply(proc, status=NfsStatus.OK, **fields):
+    return TraceRecord(1.0, Direction.REPLY, 0x1A, "30.0801", "31.03f2",
+                       proc, 3, status, **fields)
+
+
+GRAMMAR = {
+    "second-fh-is-target": (
+        f'{CALL} 14 rename fh aa name "x" fh bb name2 "y"',
+        _call(NfsProc.RENAME, fh="aa", name="x", target_fh="bb",
+              target_name="y"),
+    ),
+    "fh2-is-target": (
+        f"{CALL} 15 link fh2 bb fh aa",
+        _call(NfsProc.LINK, fh="aa", target_fh="bb"),
+    ),
+    "fn-fn2-aliases": (
+        f'{CALL} 14 rename fh aa fn "x" fh2 bb fn2 "y"',
+        _call(NfsProc.RENAME, fh="aa", name="x", target_fh="bb",
+              target_name="y"),
+    ),
+    "offset-alias": (
+        f"{CALL} 6 read fh aa offset 10 count 20",
+        _call(NfsProc.READ, fh="aa", offset=0x10, count=0x20),
+    ),
+    "con-len-with-equals": (
+        f"{CALL} 1 getattr con = 130 fh aa len = 110 uid 3",
+        _call(NfsProc.GETATTR, fh="aa", uid=3),
+    ),
+    "con-len-without-equals": (
+        f"{CALL} 1 getattr con 130 fh aa len 110 uid 3",
+        _call(NfsProc.GETATTR, fh="aa", uid=3),
+    ),
+    "trailing-key-without-value": (
+        f"{CALL} 1 getattr fh aa uid",
+        _call(NfsProc.GETATTR, fh="aa"),
+    ),
+    "unknown-keys-skipped": (
+        f"{REPLY} 1 getattr OK mode 1ed nlink 2 atime 5.0 size 10",
+        _reply(NfsProc.GETATTR, attr_size=0x10),
+    ),
+    "call-side-size-uid-gid": (
+        f"{CALL} 2 setattr fh aa size 100 uid 3e9 gid 64",
+        _call(NfsProc.SETATTR, fh="aa", size=0x100, uid=0x3E9, gid=0x64),
+    ),
+    "reply-side-size-uid-gid": (
+        f"{REPLY} 1 getattr OK size 100 uid 3e9 gid 64",
+        _reply(NfsProc.GETATTR, attr_size=0x100, attr_uid=0x3E9,
+               attr_gid=0x64),
+    ),
+    "eof-0": (
+        f"{REPLY} 6 read OK eof 0",
+        _reply(NfsProc.READ, eof=False),
+    ),
+    "eof-false": (
+        f"{REPLY} 6 read OK eof false",
+        _reply(NfsProc.READ, eof=False),
+    ),
+    "eof-1": (
+        f"{REPLY} 6 read OK eof 1",
+        _reply(NfsProc.READ, eof=True),
+    ),
+    "ftype-and-mtime-fileid": (
+        f"{REPLY} 1 getattr OK ftype 2 mtime 12.5 fileid ff",
+        _reply(NfsProc.GETATTR, attr_ftype="DIR", attr_mtime=12.5,
+               attr_fileid=0xFF),
+    ),
+    "unknown-ftype-is-reg": (
+        f"{REPLY} 1 getattr OK ftype 9",
+        _reply(NfsProc.GETATTR, attr_ftype="REG"),
+    ),
+    "upper-case-proc": (
+        f"{CALL} 1 GETATTR fh aa",
+        _call(NfsProc.GETATTR, fh="aa"),
+    ),
+    "reply-without-status-is-ok": (
+        f"{REPLY} 1 getattr",
+        _reply(NfsProc.GETATTR),
+    ),
+    "numeric-status-is-io": (
+        f"{REPLY} 3 lookup 2 fh aa",
+        _reply(NfsProc.LOOKUP, NfsStatus.IO, fh="aa"),
+    ),
+    "quoted-name-with-tab": (
+        f'{CALL} 3 lookup fh aa name "a\tb" uid 3',
+        _call(NfsProc.LOOKUP, fh="aa", name="a%20b", uid=3),
+    ),
+    "unclosed-quote-runs-to-the-end": (
+        f'{CALL} 3 lookup fh aa name "my file uid 3',
+        _call(NfsProc.LOOKUP, fh="aa", name="my%20file%20uid%203"),
+    ),
+}
+
+
+@pytest.mark.parametrize("line, want", GRAMMAR.values(), ids=GRAMMAR.keys())
+def test_grammar(line, want):
+    """Every field the parser fills, and nothing else, per grammar rule."""
+    assert parse_nfsdump_line(line) == want
+
+
+BAD = {
+    "bad-count": (f"{CALL} 6 read fh aa count zz",
+                  "bad value for 'count': 'zz'", "bad-value"),
+    "bad-mtime": (f"{REPLY} 1 getattr OK mtime x",
+                  "bad value for 'mtime': 'x'", "bad-value"),
+    "bad-hex-xid": ("1.0 30.0801 31.03f2 U C3 zz1a 1 getattr fh aa",
+                    "invalid literal for int() with base 16: 'zz1a'",
+                    "unparseable"),
+}
+
+
+@pytest.mark.parametrize("line, message, reason", BAD.values(),
+                         ids=BAD.keys())
+def test_grammar_errors(line, message, reason):
+    with pytest.raises(ValueError) as exc:
+        parse_nfsdump_line(line)
+    assert str(exc.value) == message
+    (event,) = NfsdumpAdapter().records([line])
+    assert isinstance(event, BadLine)
+    assert event.reason == reason
+
+
+@pytest.mark.parametrize("dirver", ["C4", "R9", "C3x", "Cz"])
+def test_direction_version_token_is_one_of_four(dirver):
+    line = f"1.0 30.0801 31.03f2 U {dirver} 1a 1 getattr fh aa"
+    (event,) = NfsdumpAdapter().records([line])
+    assert isinstance(event, BadLine)
+    assert event.reason == "bad-direction"
