@@ -31,7 +31,8 @@ Usage::
 
 ``--chaos-smoke`` is the fault-injection counterpart: one faulted
 CAMPUS day run twice, gating on byte-identical reruns and on the fault
-ledger predicting the pairing stats exactly (see docs/FAULTS.md).
+ledger predicting the pairing stats exactly, serially and through the
+chunked pool (see docs/FAULTS.md).
 ``--obs-smoke`` gates the span layer: sampling must not perturb the
 trace bytes or blow its wall-time budget, and ``repro monitor``
 segments must rotate and answer ``repro query`` round-trips (see
@@ -206,9 +207,14 @@ def run_chaos_smoke() -> int:
     One faulted CAMPUS day, run twice: the runs must agree byte for
     byte, and the injector's ledger must predict the pairing stats
     exactly — the two headline guarantees of ``repro.faults``, checked
-    end to end without the full chaos matrix.
+    end to end without the full chaos matrix.  The ledger check runs
+    the serial loss estimator and ``parallel_pair`` over two pool
+    workers, so chunk pairers in worker processes and the boundary
+    merge see faulted data too.
     """
-    from repro.analysis.pairing import PairingStats, pair_records
+    from repro.analysis.loss import estimate_loss
+    from repro.analysis.parallel import parallel_pair
+    from repro.trace import write_trace
     from repro.trace.record import record_to_line
     from repro.workloads import CampusEmailWorkload, CampusParams, TracedSystem
 
@@ -231,9 +237,11 @@ def run_chaos_smoke() -> int:
     _, text_b, _, _ = one_run()
     wall = time.perf_counter() - started
 
-    stats = PairingStats()
-    for _op in pair_records(records, stats=stats):
-        pass
+    stats = estimate_loss(records)
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "chaos.rtb"
+        write_trace(path, records)
+        _ops, pooled = parallel_pair(path, jobs=2, chunk_records=4096)
 
     n_injected = sum(injected.values())
     print(f"chaos-smoke: {len(records):,} records, {n_injected} injected "
@@ -245,11 +253,12 @@ def run_chaos_smoke() -> int:
         print("chaos-smoke REGRESSION: two identically seeded faulted runs "
               "diverged")
         return 1
-    if stats != expected:
-        print("chaos-smoke REGRESSION: pairing stats != fault ledger")
-        print(f"  pairing: {stats}")
-        print(f"  ledger:  {expected}")
-        return 1
+    for label, got in (("pairing", stats), ("parallel_pair", pooled)):
+        if got != expected:
+            print(f"chaos-smoke REGRESSION: {label} stats != fault ledger")
+            print(f"  {label}: {got}")
+            print(f"  ledger:  {expected}")
+            return 1
     if wall > 60.0:
         print(f"chaos-smoke REGRESSION: wall {wall:.1f}s exceeds the 60s "
               "budget")

@@ -3,8 +3,10 @@
 The paper's monitor lost packets during bursts (up to ~10% on CAMPUS).
 Since a reply cannot be decoded without its call, a lost call takes its
 reply with it.  The estimator counts unexpected holes: replies with no
-call (orphans) and calls with no reply (unanswered) — exactly the
-accounting :func:`repro.analysis.pairing.pair_records` performs.
+call (orphans) and calls with no reply within the reply timeout
+(unanswered) — exactly the accounting of
+:class:`repro.analysis.pairing.StreamPairer`, which every pairing path
+runs.
 """
 
 from __future__ import annotations

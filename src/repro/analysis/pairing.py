@@ -5,11 +5,27 @@ want one object per operation.  Pairing also surfaces the capture-loss
 phenomenon of Section 4.1.4: a reply whose call was dropped cannot be
 decoded (it is counted, not used), and a call with no reply within the
 timeout was either dropped on the mirror or never answered.
+
+:class:`StreamPairer` is the one pairing state machine: batch pairing,
+the streaming engine and the chunked fan-out in
+:mod:`repro.analysis.parallel` all drive it.  Its rules:
+
+* a call whose key is already outstanding is a retransmission: the
+  earlier call is charged as unanswered and the newest one kept;
+* a reply within ``reply_timeout`` of its key's outstanding call pairs
+  it; a later one charges the call as unanswered, then is judged as if
+  no call were outstanding: a duplicate when its key paired (or
+  duplicated) within ``reply_timeout``, else an orphan;
+* calls still outstanding at the end are unanswered.
+
+Every 4,096 calls the pairer drops entries older than ``reply_timeout``.
+On a wire-time-ordered stream these rules already give such entries no
+say in a later verdict, so the sweep only reclaims memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
 from repro.nfs.messages import NfsStatus
@@ -20,6 +36,13 @@ from repro.trace.record import Direction, TraceRecord
 #: A reply arriving this long after its call is assumed lost (the
 #: paper's nfsiod delays top out at 1 s; retransmission adds a little).
 DEFAULT_REPLY_TIMEOUT = 8.0
+
+#: Calls between expiry sweeps of the outstanding and recent tables.
+_EXPIRE_EVERY = 4096
+
+_CALL = Direction.CALL
+_OK = NfsStatus.OK
+_READ = NfsProc.READ
 
 
 @dataclass(slots=True)
@@ -79,6 +102,13 @@ class PairingStats:
     errors: int = 0  # paired ops with non-OK status
     duplicate_replies: int = 0  # reply re-captured after its pair completed
 
+    def __add__(self, other: PairingStats) -> PairingStats:
+        """Field-wise sum: the accounting of two disjoint streams."""
+        return PairingStats(*(
+            getattr(self, f.name) + getattr(other, f.name)
+            for f in fields(self)
+        ))
+
     @property
     def estimated_loss_rate(self) -> float:
         """Estimated fraction of packets the capture lost.
@@ -104,98 +134,16 @@ def pair_records(
 ) -> Iterator[PairedOp]:
     """Pair a wire-time-ordered record stream into operations.
 
-    Yields ops in *call* wire-time order (close enough given the small
-    reply latency).  Pass a :class:`PairingStats` to collect loss
-    accounting.  Pass a :class:`~repro.obs.spans.SpanRecorder` to emit
-    a ``pairer`` span per resolution verdict (paired / orphan_reply /
-    duplicate_reply) for sampled operations.
+    Yields ops in reply order.  Pass a :class:`PairingStats` to collect
+    loss accounting.  Pass a :class:`~repro.obs.spans.SpanRecorder` to
+    emit a ``pairer`` span per resolution verdict (paired /
+    orphan_reply / duplicate_reply) for sampled operations.
     """
-    if stats is None:
-        stats = PairingStats()
-    outstanding: dict[tuple[str, int], TraceRecord] = {}
-    pop = outstanding.pop
-    #: keys paired recently, mapped to the pairing reply's wire time;
-    #: a second reply for such a key within reply_timeout is a capture
-    #: duplicate, not an orphan (its call was not lost)
-    recent: dict[tuple[str, int], float] = {}
-    last_time = 0.0
-    ok_status = NfsStatus.OK
-    read_proc = NfsProc.READ
-    call_dir = Direction.CALL
-    for record in records:
-        time = record.time
-        if time > last_time:
-            last_time = time
-        if record.direction == call_dir:
-            stats.calls += 1
-            key = (record.client, record.xid)
-            if key in outstanding:
-                # duplicate xid before reply: retransmission; keep newest
-                stats.unanswered_calls += 1
-            outstanding[key] = record
-        else:
-            stats.replies += 1
-            key = (record.client, record.xid)
-            call = pop(key, None)
-            if call is None:
-                seen = recent.get(key)
-                if seen is not None and time - seen <= reply_timeout:
-                    stats.duplicate_replies += 1
-                    recent[key] = time
-                    verdict = "duplicate_reply"
-                else:
-                    stats.orphan_replies += 1
-                    verdict = "orphan_reply"
-                if spans is not None:
-                    tid = spans.trace_of(
-                        record.client, record.xid, record.proc._value_
-                    )
-                    if tid is not None:
-                        spans.pairer_span(
-                            tid, record.proc._value_, time, time, verdict
-                        )
-                continue
-            recent[key] = time
-            # _merge(call, record), inlined for the per-reply path;
-            # fields are passed positionally in PairedOp declaration
-            # order — one op per reply makes the kwargs dict measurable
-            count = call.count
-            if call.proc is read_proc and record.count is not None:
-                count = record.count  # short reads: believe the reply
-            status = record.status
-            if status is None:
-                status = ok_status
-            stats.paired += 1
-            if status is not ok_status:
-                stats.errors += 1
-            if spans is not None:
-                tid = spans.trace_of(
-                    call.client, call.xid, call.proc._value_
-                )
-                if tid is not None:
-                    spans.pairer_span(
-                        tid, call.proc._value_, call.time, time, "paired"
-                    )
-            yield PairedOp(
-                call.time, time, call.proc, call.client, call.xid, status,
-                call.version, call.uid, call.fh, call.name, call.target_fh,
-                call.target_name, call.offset, count, call.size,
-                record.eof, record.fh, record.attr_size, record.attr_mtime,
-                record.attr_ftype,
-            )
-        # expire stale outstanding calls (and recent-pair entries, which
-        # the duplicate check would reject on time anyway) occasionally
-        if stats.calls % 4096 == 0:
-            horizon = last_time - reply_timeout
-            if outstanding:
-                stale = [k for k, c in outstanding.items() if c.time < horizon]
-                for key in stale:
-                    del outstanding[key]
-                    stats.unanswered_calls += 1
-            if recent:
-                for key in [k for k, t in recent.items() if t < horizon]:
-                    del recent[key]
-    stats.unanswered_calls += len(outstanding)
+    pairer = StreamPairer(reply_timeout=reply_timeout, stats=stats, spans=spans)
+    for op in map(pairer.push, records):
+        if op is not None:
+            yield op
+    pairer.close()
 
 
 def pair_all(records: Iterable[TraceRecord]) -> tuple[list[PairedOp], PairingStats]:
@@ -205,25 +153,26 @@ def pair_all(records: Iterable[TraceRecord]) -> tuple[list[PairedOp], PairingSta
     trace allocates hundreds of thousands of acyclic PairedOps whose
     generation-2 rescans roughly double the wall time otherwise.
     """
-    stats = PairingStats()
+    pairer = StreamPairer()
     with paused_gc():
-        ops = list(pair_records(records, stats=stats))
-    return ops, stats
+        ops = [op for op in map(pairer.push, records) if op is not None]
+    return ops, pairer.close()
 
 
 class StreamPairer:
-    """Push-based pairing for live taps and the streaming engine.
+    """The pairing state machine, driven one record at a time.
 
-    Behaviorally identical to :func:`pair_records` — same op stream,
-    same :class:`PairingStats` accounting, same periodic expiry of
-    stale outstanding calls — but driven one record at a time, so a
-    caller can pair a live capture or an out-of-core trace without an
-    iterator in hand.  Memory is bounded by the outstanding-call table
-    (calls awaiting replies within ``reply_timeout``).
+    Memory is bounded by the outstanding-call and recent-pair tables
+    (entries younger than ``reply_timeout``).  ``chunk=True`` pairs one
+    slice of a trace: a reply with no call and no recent pair may have
+    its call in an earlier slice, so it is deferred, not charged as an
+    orphan, and :meth:`export_boundary` hands back what the slice
+    could not settle.  The boundary merge replays that through one
+    more pairer, with :meth:`note_pair` for the slices' recent pairs.
     """
 
-    __slots__ = ("stats", "reply_timeout", "spans", "_outstanding",
-                 "_recent", "_last_time")
+    __slots__ = ("stats", "reply_timeout", "spans", "chunk", "_outstanding",
+                 "_recent", "_deferred", "_last_time")
 
     def __init__(
         self,
@@ -231,14 +180,19 @@ class StreamPairer:
         reply_timeout: float = DEFAULT_REPLY_TIMEOUT,
         stats: PairingStats | None = None,
         spans=None,
+        chunk: bool = False,
     ) -> None:
         self.stats = stats if stats is not None else PairingStats()
         self.reply_timeout = reply_timeout
-        #: optional repro.obs.spans.SpanRecorder — same verdict spans
-        #: as pair_records, so batch and stream span streams agree
+        #: optional repro.obs.spans.SpanRecorder for verdict spans
         self.spans = spans
+        self.chunk = chunk
         self._outstanding: dict[tuple[str, int], TraceRecord] = {}
+        #: keys paired recently, mapped to the latest pairing (or
+        #: duplicate) reply's wire time
         self._recent: dict[tuple[str, int], float] = {}
+        #: chunk mode: replies whose call may sit in an earlier chunk
+        self._deferred: list[TraceRecord] = []
         self._last_time = 0.0
 
     def push(self, record: TraceRecord) -> PairedOp | None:
@@ -247,68 +201,102 @@ class StreamPairer:
         time = record.time
         if time > self._last_time:
             self._last_time = time
-        op: PairedOp | None = None
-        if record.direction == Direction.CALL:
+        key = (record.client, record.xid)
+        if record.direction == _CALL:
             stats.calls += 1
-            key = (record.client, record.xid)
-            if key in self._outstanding:
+            outstanding = self._outstanding
+            if key in outstanding:
                 # duplicate xid before reply: retransmission; keep newest
                 stats.unanswered_calls += 1
-            self._outstanding[key] = record
+            outstanding[key] = record
+            if stats.calls % _EXPIRE_EVERY == 0:
+                self._expire()
+            return None
+        stats.replies += 1
+        call = self._outstanding.pop(key, None)
+        if call is None or time - call.time > self.reply_timeout:
+            if call is not None:
+                # too late to answer it: that call's reply was lost
+                stats.unanswered_calls += 1
+            self._unmatched(record, key)
+            return None
+        self._recent[key] = time
+        count = call.count
+        if call.proc is _READ and record.count is not None:
+            count = record.count  # short reads: believe the reply
+        status = record.status
+        if status is None:
+            status = _OK
+        stats.paired += 1
+        if status is not _OK:
+            stats.errors += 1
+        if self.spans is not None:
+            _verdict_span(self.spans, call, call.time, time, "paired")
+        # fields positionally, in PairedOp declaration order: one op per
+        # reply makes a kwargs dict measurable
+        return PairedOp(
+            call.time, time, call.proc, call.client, call.xid, status,
+            call.version, call.uid, call.fh, call.name, call.target_fh,
+            call.target_name, call.offset, count, call.size,
+            record.eof, record.fh, record.attr_size, record.attr_mtime,
+            record.attr_ftype,
+        )
+
+    def _unmatched(self, record: TraceRecord, key: tuple[str, int]) -> None:
+        """Judge a reply that has no call to pair."""
+        time = record.time
+        seen = self._recent.get(key)
+        if seen is not None and time - seen <= self.reply_timeout:
+            self.stats.duplicate_replies += 1
+            self._recent[key] = time
+            verdict = "duplicate_reply"
+        elif self.chunk:
+            self._deferred.append(record)
+            return
         else:
-            stats.replies += 1
-            key = (record.client, record.xid)
-            call = self._outstanding.pop(key, None)
-            spans = self.spans
-            if call is None:
-                seen = self._recent.get(key)
-                if seen is not None and time - seen <= self.reply_timeout:
-                    stats.duplicate_replies += 1
-                    self._recent[key] = time
-                    verdict = "duplicate_reply"
-                else:
-                    stats.orphan_replies += 1
-                    verdict = "orphan_reply"
-                if spans is not None:
-                    tid = spans.trace_of(
-                        record.client, record.xid, record.proc._value_
-                    )
-                    if tid is not None:
-                        spans.pairer_span(
-                            tid, record.proc._value_, time, time, verdict
-                        )
-            else:
-                stats.paired += 1
-                self._recent[key] = time
-                op = _merge(call, record)
-                if op.status is not NfsStatus.OK:
-                    stats.errors += 1
-                if spans is not None:
-                    tid = spans.trace_of(
-                        call.client, call.xid, call.proc._value_
-                    )
-                    if tid is not None:
-                        spans.pairer_span(
-                            tid, call.proc._value_, call.time, time, "paired"
-                        )
-        # expire stale outstanding calls and recent-pair entries
-        # occasionally (same cadence as pair_records, so the two paths
-        # account loss identically)
-        if stats.calls % 4096 == 0:
-            horizon = self._last_time - self.reply_timeout
-            if self._outstanding:
-                stale = [
-                    k for k, c in self._outstanding.items() if c.time < horizon
-                ]
-                for key in stale:
-                    del self._outstanding[key]
-                    stats.unanswered_calls += 1
-            if self._recent:
-                for key in [
-                    k for k, t in self._recent.items() if t < horizon
-                ]:
-                    del self._recent[key]
-        return op
+            self.stats.orphan_replies += 1
+            verdict = "orphan_reply"
+        if self.spans is not None:
+            _verdict_span(self.spans, record, time, time, verdict)
+
+    def _expire(self) -> None:
+        """Drop entries older than ``reply_timeout`` behind the newest
+        record: any reply still to come is too late to pair those calls
+        or to duplicate those pairs."""
+        horizon = self._last_time - self.reply_timeout
+        outstanding = self._outstanding
+        stale = [k for k, c in outstanding.items() if c.time < horizon]
+        for key in stale:
+            del outstanding[key]
+        self.stats.unanswered_calls += len(stale)
+        recent = self._recent
+        for key in [k for k, t in recent.items() if t < horizon]:
+            del recent[key]
+
+    def note_pair(self, key: tuple[str, int], time: float) -> None:
+        """``key`` paired (or duplicated) at ``time`` in another pairer.
+
+        A sequential pass would have seen that pair's call supersede any
+        older outstanding call for the key, and later replies within
+        ``reply_timeout`` of it are duplicates; this applies both.
+        """
+        call = self._outstanding.get(key)
+        if call is not None and call.time < time:
+            del self._outstanding[key]
+            self.stats.unanswered_calls += 1
+        self._recent[key] = time
+
+    def export_boundary(self) -> tuple[list, list, dict]:
+        """What this pairer could not settle, for a merge downstream.
+
+        Returns the outstanding (tail) calls, the deferred replies, and
+        the recent pairs within ``reply_timeout`` of the last record —
+        the only ones a later reply could duplicate.  Nothing is
+        charged: the caller owns the verdicts.
+        """
+        horizon = self._last_time - self.reply_timeout
+        recent = {k: t for k, t in self._recent.items() if t >= horizon}
+        return list(self._outstanding.values()), self._deferred, recent
 
     def close(self) -> PairingStats:
         """End of stream: count leftovers as unanswered; returns stats."""
@@ -322,15 +310,9 @@ class StreamPairer:
         return len(self._outstanding)
 
 
-def _merge(call: TraceRecord, reply: TraceRecord) -> PairedOp:
-    count = call.count
-    if call.proc is NfsProc.READ and reply.count is not None:
-        count = reply.count  # short reads: believe the reply
-    return PairedOp(
-        call.time, reply.time, call.proc, call.client, call.xid,
-        reply.status if reply.status is not None else NfsStatus.OK,
-        call.version, call.uid, call.fh, call.name, call.target_fh,
-        call.target_name, call.offset, count, call.size,
-        reply.eof, reply.fh, reply.attr_size, reply.attr_mtime,
-        reply.attr_ftype,
-    )
+def _verdict_span(spans, record, start: float, end: float, verdict: str) -> None:
+    """One ``pairer`` span for ``record``'s operation, when sampled."""
+    proc = record.proc._value_
+    tid = spans.trace_of(record.client, record.xid, proc)
+    if tid is not None:
+        spans.pairer_span(tid, proc, start, end, verdict)

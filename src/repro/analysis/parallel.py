@@ -4,7 +4,8 @@ Decode + pairing dominate analysis wall time, and both parallelize:
 the trace is split into *content-derived* chunks (boundaries nudged so
 records sharing one timestamp stay together), each chunk is decoded
 and paired by a worker, and a deterministic merge resolves the
-call/reply pairs that straddle chunk boundaries.
+call/reply pairs that straddle chunk boundaries.  Workers and merge
+run the one :class:`~repro.analysis.pairing.StreamPairer`.
 
 Chunk planning depends only on the trace — never on the worker count —
 so ``jobs=1`` and ``jobs=N`` walk identical chunk lists through
@@ -46,7 +47,8 @@ import io
 import shutil
 import tempfile
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 from struct import Struct
 from typing import Iterable
@@ -55,7 +57,7 @@ import repro.parallel as repro_parallel
 from repro.errors import TraceFormatError
 from repro.obs.gcpause import paused_gc
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import sample_decision, sample_threshold, trace_id
+from repro.obs.spans import SpanRecorder
 from repro.trace.binfmt import (
     _CONTAINER_ERRORS,
     _FRAME_HEAD,
@@ -66,7 +68,6 @@ from repro.trace.binfmt import (
     open_binary_for_read,
     read_trace_header,
 )
-from repro.nfs.messages import NfsStatus
 from repro.trace.record import Direction, TraceRecord, record_from_line
 from repro.analysis.opsegment import (
     claim_segment,
@@ -76,12 +77,7 @@ from repro.analysis.opsegment import (
     publish_segment,
     sweep_segments,
 )
-from repro.analysis.pairing import (
-    DEFAULT_REPLY_TIMEOUT,
-    PairedOp,
-    PairingStats,
-    _merge,
-)
+from repro.analysis.pairing import PairedOp, PairingStats, StreamPairer
 
 #: Nominal records per chunk when a fixed size is requested.  The
 #: default (``chunk_records=None``) auto-tunes from the trace instead:
@@ -126,28 +122,35 @@ class ChunkSpec:
 
 @dataclass
 class PairedChunk:
-    """A worker's partial result: pairs plus boundary leftovers."""
+    """A worker's partial result: pairs plus boundary leftovers.
 
-    ops: list[PairedOp] = field(default_factory=list)
-    tail_calls: list[TraceRecord] = field(default_factory=list)
-    head_orphans: list[TraceRecord] = field(default_factory=list)
-    calls: int = 0
-    replies: int = 0
-    paired: int = 0
-    errors: int = 0
-    retransmissions: int = 0  # duplicate-xid calls (content-derived)
-    duplicates: int = 0  # replies re-captured after their pair completed
-    #: keys paired within reply_timeout of the chunk's end, with the
-    #: pairing reply's time — lets the merge classify a duplicate reply
-    #: whose original pair completed in an earlier chunk
-    recent: dict = field(default_factory=dict)
-    #: duplicate-reply records of *span-sampled* operations (normally
-    #: duplicates are only counted; span emission needs the records)
-    dup_records: list[TraceRecord] = field(default_factory=list)
+    ``stats`` is the chunk pairer's own accounting; orphan verdicts are
+    deferred to the merge, which receives the ``tail_calls``, the
+    ``deferred`` replies and the ``recent`` pairs (see
+    :meth:`~repro.analysis.pairing.StreamPairer.export_boundary`).
+    """
+
+    ops: list[PairedOp]
+    stats: PairingStats
+    tail_calls: list[TraceRecord]
+    deferred: list[TraceRecord]
+    recent: dict[tuple[str, int], float]
+    #: the chunk pairer's buffered verdict spans (sampled ops only)
+    spans: list
     wall_seconds: float = 0.0
     #: pool mode: ops travel as a published segment, not in ``ops``
     segment: tuple[str, str, int] | None = None
     op_count: int = 0
+
+    @property
+    def calls(self) -> int:
+        """Call records in the chunk."""
+        return self.stats.calls
+
+    @property
+    def replies(self) -> int:
+        """Reply records in the chunk."""
+        return self.stats.replies
 
 
 def plan_chunks(
@@ -469,15 +472,14 @@ def _discard_pool(processes: int) -> None:
     repro_parallel.discard_pool(_POOL_PURPOSE, processes)
 
 
-def pair_chunk(spec: ChunkSpec, span_threshold: int = 0) -> PairedChunk:
+def pair_chunk(spec: ChunkSpec, sample: float = 0.0) -> PairedChunk:
     """Decode and pair one chunk (worker side).
 
-    ``span_threshold`` (a :func:`repro.obs.spans.sample_threshold`
-    value) makes the worker keep the duplicate-reply records of
-    span-sampled operations for the parent's span emission.
+    ``sample`` is the span sampling rate: a positive rate makes the
+    chunk pairer record verdict spans for the merge to adopt.
     """
     started = _time.perf_counter()
-    partial = _pair_partial(decode_chunk(spec), span_threshold=span_threshold)
+    partial = _pair_partial(decode_chunk(spec), sample=sample)
     partial.wall_seconds = _time.perf_counter() - started
     return partial
 
@@ -486,7 +488,7 @@ def _pair_chunk_segment(
     item: tuple[int, ChunkSpec],
     *,
     token: str,
-    span_threshold: int,
+    sample: float,
     transport: str,
     workdir: str,
 ) -> PairedChunk:
@@ -498,9 +500,7 @@ def _pair_chunk_segment(
     index, spec = item
     started = _time.perf_counter()
     with paused_gc():
-        partial = _pair_partial(
-            decode_chunk(spec), span_threshold=span_threshold
-        )
+        partial = _pair_partial(decode_chunk(spec), sample=sample)
         ops = partial.ops
         ops.sort(key=_op_sort_key)
         payload = encode_ops(ops)
@@ -512,114 +512,61 @@ def _pair_chunk_segment(
 
 
 def _pair_partial(
-    records: Iterable[TraceRecord],
-    *,
-    recent: dict | None = None,
-    reply_timeout: float = DEFAULT_REPLY_TIMEOUT,
-    span_threshold: int = 0,
+    records: Iterable[TraceRecord], *, sample: float = 0.0
 ) -> PairedChunk:
-    """Pair what can be paired locally; return the rest as leftovers.
+    """Pair one chunk with a chunk-mode :class:`StreamPairer`.
 
-    Mirrors :func:`repro.analysis.pairing.pair_records` except that
-    boundary effects are *returned* instead of charged: an unmatched
-    reply may have its call in an earlier chunk, an outstanding call
-    its reply in a later one.  The merge settles both, seeding
-    ``recent`` with the chunks' exported recent-pair maps so duplicate
-    replies straddling a boundary classify the same way a sequential
-    pass classifies them.
+    Boundary effects are *returned* instead of charged: a reply with no
+    call may have its call in an earlier chunk, an outstanding call its
+    reply in a later one.  The merge in :func:`parallel_pair` settles
+    both.
     """
-    partial = PairedChunk()
-    outstanding: dict[tuple[str, int], TraceRecord] = {}
-    pop = outstanding.pop
-    if recent is None:
-        recent = {}
-    ops = partial.ops
-    add_op = ops.append
-    orphans = partial.head_orphans
-    ok_status = NfsStatus.OK
-    call_dir = Direction.CALL
-    calls = replies = paired = errors = retrans = dups = 0
-    last_time = 0.0
-    for record in records:
-        if record.direction == call_dir:
-            calls += 1
-            key = (record.client, record.xid)
-            if key in outstanding:
-                retrans += 1  # retransmission: keep the newest
-            outstanding[key] = record
-        else:
-            replies += 1
-            time = record.time
-            if time > last_time:
-                last_time = time
-            key = (record.client, record.xid)
-            call = pop(key, None)
-            if call is None:
-                seen = recent.get(key)
-                if seen is not None and time - seen <= reply_timeout:
-                    dups += 1
-                    recent[key] = time
-                    if span_threshold and sample_decision(
-                        record.client, record.xid, record.proc._value_,
-                        span_threshold,
-                    ):
-                        partial.dup_records.append(record)
-                else:
-                    orphans.append(record)
-                continue
-            recent[key] = time
-            op = _merge(call, record)
-            paired += 1
-            if op.status is not ok_status:
-                errors += 1
-            add_op(op)
-    partial.calls = calls
-    partial.replies = replies
-    partial.paired = paired
-    partial.errors = errors
-    partial.retransmissions = retrans
-    partial.duplicates = dups
-    partial.tail_calls = list(outstanding.values())
-    horizon = last_time - reply_timeout
-    partial.recent = {k: t for k, t in recent.items() if t >= horizon}
-    return partial
+    spans = SpanRecorder(None, sample=sample, buffered=True) if sample else None
+    pairer = StreamPairer(chunk=True, spans=spans)
+    ops = [op for op in map(pairer.push, records) if op is not None]
+    tail_calls, deferred, recent = pairer.export_boundary()
+    return PairedChunk(
+        ops, pairer.stats, tail_calls, deferred, recent,
+        spans.take_pending() if spans is not None else [],
+    )
 
 
-def _emit_pairer_spans(spans, ops, boundary, partials) -> None:
-    """Emit pairer verdict spans from the merged parallel results.
+def _merge_boundaries(
+    partials: list[PairedChunk], spans
+) -> tuple[PairingStats, list[PairedOp]]:
+    """Settle what the chunks could not: one more :class:`StreamPairer`.
 
-    Same verdicts as the serial pairer: ``paired`` from the final op
-    list, ``orphan_reply`` from the boundary's unmatched replies, and
-    ``duplicate_reply`` from the span-sampled duplicate records the
-    workers kept.  Emission order is irrelevant — the buffered
-    recorder's close() sorts canonically.
+    It replays every chunk's tail calls, deferred replies and recent
+    pairs in time order, so boundary-straddling pairs, duplicates and
+    orphans get a sequential pass's verdicts; its calls still
+    outstanding at the end are unanswered.  Returns the whole trace's
+    stats and the boundary ops.
     """
-    for op in ops:
-        tid = spans.trace_of(op.client, op.xid, op.proc._value_)
-        if tid is not None:
-            spans.pairer_span(
-                tid, op.proc._value_, op.time, op.reply_time, "paired"
-            )
-    for record in boundary.head_orphans:
-        tid = spans.trace_of(record.client, record.xid, record.proc._value_)
-        if tid is not None:
-            spans.pairer_span(
-                tid, record.proc._value_, record.time, record.time,
-                "orphan_reply",
-            )
+    stats = PairingStats()
+    events = []
     for partial in partials:
-        for record in partial.dup_records:
-            spans.pairer_span(
-                trace_id(record.client, record.xid, record.proc._value_),
-                record.proc._value_, record.time, record.time,
-                "duplicate_reply",
-            )
-    for record in boundary.dup_records:
-        spans.pairer_span(
-            trace_id(record.client, record.xid, record.proc._value_),
-            record.proc._value_, record.time, record.time,
-            "duplicate_reply",
-        )
+        stats += partial.stats
+        for record in partial.tail_calls + partial.deferred:
+            events.append((_leftover_sort_key(record), record))
+        for (client, xid), when in partial.recent.items():
+            events.append(((when, 1, client, xid), None))
+        if spans is not None:
+            spans.adopt(partial.spans)
+    events.sort(key=itemgetter(0))
+    merger = StreamPairer(spans=spans)
+    ops = []
+    for (when, _, client, xid), record in events:
+        if record is None:
+            merger.note_pair((client, xid), when)
+        else:
+            op = merger.push(record)
+            if op is not None:
+                ops.append(op)
+    merged = merger.stats
+    # each leftover was already counted as a call or reply by its chunk
+    merged.calls = merged.replies = 0
+    merged.unanswered_calls += len(merger)
+    return stats + merged, ops
 
 
 def _leftover_sort_key(record: TraceRecord):
@@ -640,7 +587,7 @@ def _map_chunks(
     specs: list[ChunkSpec],
     *,
     jobs: int,
-    span_threshold: int,
+    sample: float,
     workdir: str,
 ) -> tuple[list[PairedChunk], str]:
     """Fan chunks over a warm pool; ops come back as segments."""
@@ -649,7 +596,7 @@ def _map_chunks(
     pair = functools.partial(
         _pair_chunk_segment,
         token=token,
-        span_threshold=span_threshold,
+        sample=sample,
         transport=default_transport(),
         workdir=workdir,
     )
@@ -682,16 +629,17 @@ def parallel_pair(
     and the k-way merge ties break in chunk order, exactly like the
     stable sort of the concatenated lists that ``jobs=1`` performs.
     Boundary-crossing pairs are resolved by a final pairing pass over
-    each chunk's unmatched tail calls and head replies; anything still
+    each chunk's tail calls and deferred replies; anything still
     unmatched is charged as capture loss.
 
-    With a *buffered* :class:`~repro.obs.spans.SpanRecorder` the merge
-    also emits pairer verdict spans for sampled operations; the
-    recorder's canonical close order makes the exported span stream
-    byte-identical to the serial and streaming pairers'.
+    With a *buffered* :class:`~repro.obs.spans.SpanRecorder` every
+    chunk pairer records its verdict spans, which travel back with the
+    chunk and join the merge's own; the recorder's canonical close
+    order makes the exported span stream byte-identical to the serial
+    and streaming pairers'.
     """
     started = _time.perf_counter()
-    span_threshold = sample_threshold(spans.sample) if spans is not None else 0
+    sample = spans.sample if spans is not None else 0.0
     path = str(path)
     workdir: str | None = None
     token: str | None = None
@@ -707,41 +655,11 @@ def parallel_pair(
         if fanout:
             with paused_gc():
                 partials, token = _map_chunks(
-                    specs, jobs=jobs, span_threshold=span_threshold,
-                    workdir=workdir,
+                    specs, jobs=jobs, sample=sample, workdir=workdir
                 )
         else:
-            partials = [pair_chunk(spec, span_threshold) for spec in specs]
-
-        leftovers: list[TraceRecord] = []
-        boundary_recent: dict[tuple[str, int], float] = {}
-        for partial in partials:
-            leftovers.extend(partial.tail_calls)
-            leftovers.extend(partial.head_orphans)
-            for key, when in partial.recent.items():
-                prev = boundary_recent.get(key)
-                if prev is None or when > prev:
-                    boundary_recent[key] = when
-        leftovers.sort(key=_leftover_sort_key)
-        boundary = _pair_partial(
-            leftovers, recent=boundary_recent, span_threshold=span_threshold
-        )
-
-        stats = PairingStats(
-            calls=sum(p.calls for p in partials),
-            replies=sum(p.replies for p in partials),
-            paired=sum(p.paired for p in partials) + boundary.paired,
-            orphan_replies=len(boundary.head_orphans),
-            unanswered_calls=(
-                sum(p.retransmissions for p in partials)
-                + boundary.retransmissions
-                + len(boundary.tail_calls)
-            ),
-            errors=sum(p.errors for p in partials) + boundary.errors,
-            duplicate_replies=(
-                sum(p.duplicates for p in partials) + boundary.duplicates
-            ),
-        )
+            partials = [pair_chunk(spec, sample) for spec in specs]
+        stats, boundary_ops = _merge_boundaries(partials, spans)
         with paused_gc():
             if fanout:
                 # Streaming k-way merge-decode: each chunk's segment is
@@ -751,26 +669,23 @@ def parallel_pair(
                 streams = [
                     decode_ops(claim_segment(p.segment)) for p in partials
                 ]
-                if boundary.ops:
-                    boundary.ops.sort(key=_op_sort_key)
-                    streams.append(iter(boundary.ops))
+                if boundary_ops:
+                    boundary_ops.sort(key=_op_sort_key)
+                    streams.append(iter(boundary_ops))
                 ops = list(heapq.merge(*streams, key=_op_sort_key))
             else:
                 ops = sorted(
                     (op for partial in partials for op in partial.ops),
                     key=_op_sort_key,
                 )
-                if boundary.ops:
-                    ops.extend(boundary.ops)
+                if boundary_ops:
+                    ops.extend(boundary_ops)
                     ops.sort(key=_op_sort_key)
     finally:
         if token is not None:
             sweep_segments(token, len(specs))
         if workdir is not None:
             shutil.rmtree(workdir, ignore_errors=True)
-
-    if spans is not None:
-        _emit_pairer_spans(spans, ops, boundary, partials)
 
     if metrics is not None:
         wall = _time.perf_counter() - started

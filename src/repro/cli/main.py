@@ -1310,18 +1310,25 @@ def cmd_anonymize(args) -> int:
     return 0
 
 
-def _load_ops(args):
-    with TraceReader(args.input) as reader:
+def _pair_trace(path):
+    """Pair a whole trace file; ``(ops, stats)``, erroring when empty."""
+    with TraceReader(path) as reader:
         ops, stats = pair_all(reader)
     if not ops:
-        raise ValueError(f"no pairable operations in {args.input}")
-    # default window: min/max call time.  Ops are yielded in *reply*
-    # order, so first/last list elements need not carry the extreme
-    # call times — and the streaming engine, which learns its bounds
-    # the same way, must agree with this path exactly.
+        raise ValueError(f"no pairable operations in {path}")
+    return ops, stats
+
+
+def _window(args, ops):
+    """The analysis window: ``--start``/``--end``, else min/max call time.
+
+    ``pair_all`` lists ops in *reply* order, so the first and last ops
+    need not carry the extreme call times — and the streaming engine,
+    which learns its bounds the same way, must agree with this exactly.
+    """
     start = args.start if args.start is not None else min(op.time for op in ops)
     end = args.end if args.end is not None else max(op.time for op in ops) + 1e-6
-    return ops, stats, start, end
+    return start, end
 
 
 def _summary_text(input_path, s, stats) -> str:
@@ -1389,7 +1396,8 @@ def cmd_summary(args) -> int:
 
 def cmd_runs(args) -> int:
     """Print a Table 3-style run classification."""
-    ops, _stats, start, end = _load_ops(args)
+    ops, _stats = _pair_trace(args.input)
+    start, end = _window(args, ops)
     table = _batch_runs_table(ops, start, end, args.window_ms, args.jumps)
     print(_runs_text(args.input, table, args.window_ms, args.jumps))
     return 0
@@ -1397,13 +1405,11 @@ def cmd_runs(args) -> int:
 
 def cmd_lifetimes(args) -> int:
     """Print Table 4 numbers and a Figure 3-style CDF."""
-    with TraceReader(args.input) as reader:
-        ops, _stats = pair_all(reader)
-    if not ops:
-        raise ValueError(f"no pairable operations in {args.input}")
-    t_first, t_last = ops[0].time, ops[-1].time
+    ops, _stats = _pair_trace(args.input)
     phase1_start = args.phase1_start
-    phase2_end = args.phase2_end if args.phase2_end is not None else t_last
+    phase2_end = (
+        args.phase2_end if args.phase2_end is not None else ops[-1].time
+    )
     phase1_end = (
         args.phase1_end
         if args.phase1_end is not None
@@ -1461,7 +1467,8 @@ def _report_text(input_path, ops, start, end) -> str:
 
 def cmd_report(args) -> int:
     """Print the full Table 1-style characterization."""
-    ops, _stats, start, end = _load_ops(args)
+    ops, _stats = _pair_trace(args.input)
+    start, end = _window(args, ops)
     print(_report_text(args.input, ops, start, end))
     return 0
 
@@ -1488,10 +1495,7 @@ def cmd_analyze(args) -> int:
         )
         if not ops:
             raise ValueError(f"no pairable operations in {args.input}")
-        start = (args.start if args.start is not None
-                 else min(op.time for op in ops))
-        end = (args.end if args.end is not None
-               else max(op.time for op in ops) + 1e-6)
+        start, end = _window(args, ops)
         print(_summary_text(args.input, summarize_trace(ops, start, end), stats))
         print()
         table = _batch_runs_table(ops, start, end, args.window_ms, args.jumps)
@@ -1608,10 +1612,7 @@ def cmd_names(args) -> int:
     """Print name-category census and prediction accuracies."""
     from repro.analysis.names import NameCategoryAnalyzer
 
-    with TraceReader(args.input) as reader:
-        ops, _stats = pair_all(reader)
-    if not ops:
-        raise ValueError(f"no pairable operations in {args.input}")
+    ops, _stats = _pair_trace(args.input)
     analyzer = NameCategoryAnalyzer().observe_all(ops)
     census = analyzer.category_census()
     total = sum(census.values()) or 1
@@ -1714,10 +1715,7 @@ def cmd_characterize(args) -> int:
     """Fit a scenario-spec skeleton to a trace (the synthetic twin)."""
     from repro.scenarios import fit_scenario
 
-    with TraceReader(args.input) as reader:
-        ops, stats = pair_all(reader)
-    if not ops:
-        raise ValueError(f"no pairable operations in {args.input}")
+    ops, _stats = _pair_trace(args.input)
     spec = fit_scenario(ops, name=args.name)
     text = spec.spec() + "\n"
     if args.out:

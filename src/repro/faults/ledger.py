@@ -11,20 +11,19 @@ correct pairer must produce:
 
 * a call whose key is already outstanding is a retransmission; the
   earlier call will never be answered (``unanswered_calls``);
-* a reply matching an outstanding call pairs it;
+* a reply within ``reply_timeout`` of its key's outstanding call pairs
+  it; a later reply charges that call as unanswered and is then judged
+  as if no call were outstanding;
 * a reply with no outstanding call is a capture duplicate when the
   same key paired within ``reply_timeout``, otherwise an orphan
   (its call was lost);
 * calls still outstanding at end of stream are unanswered.
 
-The ledger keeps no periodic expiry, unlike
-:func:`repro.analysis.pairing.pair_records`.  The two still agree
-exactly because every injected delay is capped at
+:class:`~repro.analysis.pairing.StreamPairer` applies the same timeout
+rule, so the two agree by contract, not by tuning.  The fault caps keep
+every real answer inside the timeout anyway: injected delays stop at
 :data:`~repro.faults.spec.MAX_FAULT_DELAY` (1 s) and client
-retransmission backoff at ~4 s, both far under the 8 s reply timeout:
-the pairer's periodic expiry can therefore only ever evict calls that
-were genuinely never answered, which the ledger counts identically at
-the end.
+retransmission backoff at ~4 s, both far under the 8 s reply timeout.
 """
 
 from __future__ import annotations
@@ -73,12 +72,16 @@ class FaultLedger:
         """Account one captured reply packet."""
         self.replies += 1
         key = (reply.client, reply.xid)
-        if self._outstanding.pop(key, None) is not None:
-            self.paired += 1
-            if reply.status is not NfsStatus.OK:
-                self.errors += 1
-            self._recent[key] = reply.time
-            return
+        sent = self._outstanding.pop(key, None)
+        if sent is not None:
+            if reply.time - sent <= self.reply_timeout:
+                self.paired += 1
+                if reply.status is not NfsStatus.OK:
+                    self.errors += 1
+                self._recent[key] = reply.time
+                return
+            # too late to answer it: that call's reply was lost
+            self.unanswered_calls += 1
         seen = self._recent.get(key)
         if seen is not None and reply.time - seen <= self.reply_timeout:
             self.duplicate_replies += 1
@@ -119,13 +122,4 @@ def aggregate_stats(parts):
     # deferred import: see expected_stats
     from repro.analysis.pairing import PairingStats
 
-    total = PairingStats()
-    for part in parts:
-        total.calls += part.calls
-        total.replies += part.replies
-        total.paired += part.paired
-        total.orphan_replies += part.orphan_replies
-        total.unanswered_calls += part.unanswered_calls
-        total.errors += part.errors
-        total.duplicate_replies += part.duplicate_replies
-    return total
+    return sum(parts, PairingStats())

@@ -380,6 +380,17 @@ class SpanRecorder:
             span.span = span_id(tid, "pairer", self._occurrence(tid, "pairer"))
         self._emit(span)
 
+    # -- handing buffered spans between recorders ------------------------------
+
+    def take_pending(self) -> list[Span]:
+        """Remove and return the spans a buffered recorder holds."""
+        pending, self._buffer = self._buffer, []
+        return pending
+
+    def adopt(self, spans: list[Span]) -> None:
+        """Buffer spans another buffered recorder collected."""
+        self._buffer.extend(spans)
+
     # -- the write path --------------------------------------------------------
 
     def _emit(self, span: Span) -> None:

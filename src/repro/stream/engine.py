@@ -5,9 +5,9 @@
 :class:`~repro.trace.collector.TraceCollector` tap, anything that
 yields :class:`~repro.trace.record.TraceRecord` — into every registered
 :class:`StreamAnalysis`.  Records are paired into operations on the fly
-by a :class:`~repro.analysis.pairing.StreamPairer` (the push-based twin
-of :func:`~repro.analysis.pairing.pair_records`, with identical loss
-accounting), so each analysis chooses its granularity: raw wire records
+by a :class:`~repro.analysis.pairing.StreamPairer` (the pairer batch
+and chunked pairing run too, so the loss accounting is theirs), and
+each analysis chooses its granularity: raw wire records
 (``process_record``), paired operations (``process_op``), or both.
 
 Progress is tracked by a *watermark* — the largest wire timestamp seen.

@@ -1,7 +1,10 @@
 """Tests for call/reply pairing and loss estimation."""
 
+import pytest
+
 from repro.analysis.loss import effective_op_loss_rate, estimate_loss
-from repro.analysis.pairing import PairingStats, pair_all, pair_records
+from repro.analysis.pairing import StreamPairer, pair_all
+from repro.analysis.parallel import parallel_pair
 from repro.nfs import (
     FileAttributes,
     FileHandle,
@@ -11,6 +14,7 @@ from repro.nfs import (
     NfsReply,
     NfsStatus,
 )
+from repro.trace import write_trace
 from repro.trace.record import TraceRecord
 
 
@@ -155,34 +159,15 @@ class TestDuplicateReplies:
             reply_record(t=1.002, xid=1),  # capture duplicate
         ]
 
-    def test_batch_counts_duplicate(self):
-        _ops, stats = pair_all(self._records())
+    @pytest.mark.parametrize(
+        "pair", ["pair_all", "stream", "parallel"], indirect=True
+    )
+    def test_counts_duplicate(self, pair, tmp_path):
+        _ops, stats = pair(self._records(), tmp_path)
         assert stats.paired == 1
         assert stats.duplicate_replies == 1
         assert stats.orphan_replies == 0
         assert stats.estimated_loss_rate == 0.0
-
-    def test_stream_counts_duplicate(self):
-        from repro.analysis.pairing import StreamPairer
-
-        pairer = StreamPairer()
-        for record in self._records():
-            pairer.push(record)
-        stats = pairer.close()
-        assert stats.duplicate_replies == 1
-        assert stats.orphan_replies == 0
-
-    def test_parallel_counts_duplicate(self, tmp_path):
-        from repro.analysis.parallel import parallel_pair
-        from repro.trace.record import record_to_line
-
-        path = tmp_path / "dup.trace"
-        path.write_text(
-            "\n".join(record_to_line(r) for r in self._records()) + "\n"
-        )
-        _ops, stats = parallel_pair(path)
-        assert stats.duplicate_replies == 1
-        assert stats.orphan_replies == 0
 
     def test_stale_duplicate_is_still_an_orphan(self):
         records = [
@@ -205,3 +190,57 @@ class TestDuplicateReplies:
         assert stats.paired == 1
         assert stats.duplicate_replies == 2
         assert stats.orphan_replies == 0
+
+
+def _pair_all(records, _tmp_path):
+    return pair_all(records)
+
+
+def _stream_pairer(records, _tmp_path):
+    pairer = StreamPairer()
+    ops = [op for op in map(pairer.push, records) if op is not None]
+    return ops, pairer.close()
+
+
+def _parallel(chunk_records):
+    def run(records, tmp_path):
+        path = tmp_path / "records.rtb"
+        write_trace(path, records)
+        return parallel_pair(path, chunk_records=chunk_records)
+    return run
+
+
+#: Every pairing entry point, as ``pair(records, tmp_path) -> (ops, stats)``.
+PAIRERS = {
+    "pair_all": _pair_all,
+    "stream": _stream_pairer,
+    "parallel": _parallel(None),
+    "parallel-512": _parallel(512),
+}
+
+
+@pytest.fixture(params=list(PAIRERS))
+def pair(request):
+    return PAIRERS[request.param]
+
+
+class TestLateReply:
+    """A reply more than the 8 s timeout after its call charges the call
+    as unanswered and is then an orphan, in every pairing mode and no
+    matter how many operations fall in between (regression: the chunked
+    pairer used to pair it, and the serial pairers only lost it when an
+    expiry sweep happened to fall between call and reply)."""
+
+    @pytest.mark.parametrize("fillers", [0, 4200])
+    def test_late_reply_loses_its_call(self, pair, tmp_path, fillers):
+        records = [call_record(t=0.0, xid=1, client="late")]
+        for i in range(fillers):
+            t = 0.001 + i * 8.9 / fillers
+            records.append(call_record(t=t, xid=100 + i))
+            records.append(reply_record(t=t + 0.0005, xid=100 + i))
+        records.append(reply_record(t=9.0, xid=1, client="late"))
+        ops, stats = pair(records, tmp_path)
+        assert [op for op in ops if op.client == "late"] == []
+        assert stats.paired == fillers
+        assert stats.orphan_replies == 1
+        assert stats.unanswered_calls == 1

@@ -246,3 +246,53 @@ class TestJobsByteIdentity:
         assert base  # non-trivial: sampled ops exist
         for jobs in (2, 4, 8):
             assert stream_for(jobs) == base, f"jobs={jobs} span stream diverged"
+
+
+
+def _rec(t, direction, xid):
+    """A GETATTR call or reply of one client."""
+    call = direction == Direction.CALL
+    return TraceRecord(
+        time=t, direction=direction, xid=xid, client="10.0.0.1",
+        server="10.0.0.100", proc=NfsProc.GETATTR, version=3,
+        fh="ff" if call else None, status=None if call else NfsStatus.OK,
+    )
+
+
+class TestBoundaryMerge:
+    """The merge replays the chunks' recent pairs in time order, so a
+    verdict that hangs on a pair completed inside another chunk comes
+    out as in one sequential pass.  Regressions: the merge used to
+    seed one recent map with each key's newest pair."""
+
+    def _check(self, tmp_path, records):
+        path = tmp_path / "merge.rtb"
+        write_trace(path, records)
+        ops, stats = parallel_pair(path, jobs=1, chunk_records=2)
+        seq_ops, seq_stats = pair_all(records)
+        assert stats == seq_stats
+        assert ops == sorted(seq_ops, key=lambda o: (o.time, o.client, o.xid))
+        return stats
+
+    def test_superseded_call_does_not_pair_a_duplicate(self, tmp_path):
+        call, reply = Direction.CALL, Direction.REPLY
+        # chunks: [call, filler] [retransmission, its reply]
+        # [re-captured reply, filler reply]
+        stats = self._check(tmp_path, [
+            _rec(0.0, call, 1), _rec(0.5, call, 2),
+            _rec(1.1, call, 1), _rec(1.2, reply, 1),
+            _rec(1.3, reply, 1), _rec(1.4, reply, 2),
+        ])
+        assert stats.unanswered_calls == 1
+        assert stats.duplicate_replies == 1
+
+    def test_later_pair_leaves_an_orphan_an_orphan(self, tmp_path):
+        call, reply = Direction.CALL, Direction.REPLY
+        # chunks: [orphan, filler] [call, reply] [filler reply, call]
+        stats = self._check(tmp_path, [
+            _rec(0.0, reply, 1), _rec(0.5, call, 2),
+            _rec(1.1, call, 1), _rec(1.2, reply, 1),
+            _rec(1.4, reply, 2), _rec(1.5, call, 3),
+        ])
+        assert stats.orphan_replies == 1
+        assert stats.duplicate_replies == 0

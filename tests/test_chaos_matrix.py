@@ -19,11 +19,12 @@ import functools
 
 import pytest
 
-from repro.analysis.pairing import PairingStats, StreamPairer, pair_records
+from repro.analysis.pairing import PairingStats, pair_records
 from repro.analysis.parallel import parallel_pair
 from repro.cli import main
 from repro.scenarios import compile_workload
 from repro.simcore.clock import SECONDS_PER_DAY
+from repro.stream import StreamEngine
 from repro.trace.record import record_to_line
 
 SEED = 11
@@ -101,11 +102,10 @@ class TestChaosMatrix:
         assert stats == expected
 
     def test_stream_pairer_matches_ledger(self, system_name, schedule_name):
+        # the streaming engine's pass, as `repro stats` and
+        # `analyze --stream` run it
         records, _, expected, _ = _cached(system_name, schedule_name)
-        pairer = StreamPairer()
-        for record in records:
-            pairer.push(record)
-        assert pairer.close() == expected
+        assert StreamEngine().run(records)["pairing"] == expected
 
     def test_parallel_pair_matches_ledger(
         self, system_name, schedule_name, tmp_path

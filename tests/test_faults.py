@@ -186,6 +186,15 @@ class TestFaultLedger:
         assert stats.duplicate_replies == 0
         assert stats.orphan_replies == 1
 
+    def test_reply_after_timeout_loses_its_call(self):
+        ledger = FaultLedger()
+        ledger.on_call(_call(0.0, 1))
+        ledger.on_reply(_reply(9.0, 1))  # 1 s past the 8 s timeout
+        stats = ledger.expected_stats()
+        assert stats.paired == 0
+        assert stats.unanswered_calls == 1
+        assert stats.orphan_replies == 1
+
 
 class TestInjectorPlumbing:
     def test_rng_streams_are_per_clause(self):

@@ -1,18 +1,24 @@
 """Property-based equivalence: streaming analyses vs their batch twins.
 
-The streaming subsystem's headline claim is exactness — `StreamPairer`,
-`StreamReorderer`, `StreamSummary`, and `StreamRuns` must reproduce the
-batch pipeline bit-for-bit on any input, and `StreamLifetimes` must
-agree on every count and on the CDF at its histogram's bucket edges.
+The streaming subsystem's headline claim is exactness — `StreamReorderer`,
+`StreamSummary`, and `StreamRuns` must reproduce the batch pipeline
+bit-for-bit on any input, and `StreamLifetimes` must agree on every
+count and on the CDF at its histogram's bucket edges.  Pairing has one
+implementation, but chunked pairing still merges chunk boundaries, so
+it must agree with one sequential pass however the trace is cut.
 These tests drive both sides with identical randomized streams.
 """
+
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.lifetimes import BlockLifetimeAnalyzer
-from repro.analysis.pairing import PairingStats, StreamPairer, pair_records
+from repro.analysis.pairing import pair_all
+from repro.analysis.parallel import parallel_pair
 from repro.analysis.reorder import StreamReorderer, reorder_window_sort
 from repro.analysis.runs import RunBuilder, classify_runs
 from repro.analysis.summary import summarize_trace
@@ -24,6 +30,7 @@ from repro.stream import (
     StreamRuns,
     StreamSummary,
 )
+from repro.trace import write_trace
 from repro.trace.record import Direction, TraceRecord
 from tests.helpers import create, lookup, read, remove, setattr_size, write
 
@@ -49,7 +56,8 @@ def record_streams(draw):
     events = draw(st.lists(
         st.tuples(
             st.sampled_from(["paired", "paired", "dup_call", "orphan_reply",
-                             "unanswered"]),
+                             "unanswered", "dup_reply", "late_reply",
+                             "retry_dup", "repair"]),
             st.sampled_from(["c1", "c2", "c3"]),
             st.sampled_from([NfsProc.GETATTR, NfsProc.READ, NfsProc.LOOKUP]),
             st.floats(min_value=0.0001, max_value=5.0),
@@ -70,28 +78,43 @@ def record_streams(draw):
             records.append(_reply(t + latency, xid, client, proc))
         elif kind == "orphan_reply":
             records.append(_reply(t, xid, client, proc))
+        elif kind == "dup_reply":  # re-captured 3 s after its pair
+            records.append(_call(t, xid, client, proc))
+            records.append(_reply(t + latency, xid, client, proc))
+            records.append(_reply(t + latency + 3.0, xid, client, proc))
+        elif kind == "late_reply":  # past the 8 s reply timeout
+            records.append(_call(t, xid, client, proc))
+            records.append(_reply(t + 9.0, xid, client, proc))
+        elif kind == "retry_dup":  # retransmitted, answered, re-captured
+            records.append(_call(t, xid, client, proc))
+            records.append(_call(t + 1.1, xid, client, proc))
+            records.append(_reply(t + 1.1 + latency, xid, client, proc))
+            records.append(_reply(t + 1.2 + latency, xid, client, proc))
+        elif kind == "repair":  # orphan reply, then the key pairs anew
+            records.append(_reply(t, xid, client, proc))
+            records.append(_call(t + 1.1, xid, client, proc))
+            records.append(_reply(t + 1.1 + latency, xid, client, proc))
         else:
             records.append(_call(t, xid, client, proc))
     records.sort(key=lambda r: r.time)
     return records
 
 
-@settings(max_examples=200)
+def _op_key(op):
+    return (op.time, op.client, op.xid)
+
+
+@settings(max_examples=300, deadline=None)
 @given(record_streams())
-def test_stream_pairer_matches_pair_records(records):
-    batch_stats = PairingStats()
-    batch_ops = list(pair_records(records, stats=batch_stats))
-
-    pairer = StreamPairer()
-    stream_ops = []
-    for record in records:
-        op = pairer.push(record)
-        if op is not None:
-            stream_ops.append(op)
-    stream_stats = pairer.close()
-
-    assert stream_ops == batch_ops
-    assert stream_stats == batch_stats
+def test_chunked_pairing_matches_pair_all(records):
+    serial_ops, serial_stats = pair_all(records)
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "stream.rtb"
+        write_trace(path, records)
+        for chunk_records in (1, 2, 3, 7):
+            ops, stats = parallel_pair(path, chunk_records=chunk_records)
+            assert stats == serial_stats, f"chunk_records={chunk_records}"
+            assert sorted(ops, key=_op_key) == sorted(serial_ops, key=_op_key)
 
 
 @st.composite
