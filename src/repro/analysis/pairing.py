@@ -26,6 +26,7 @@ say in a later verdict, so the sweep only reclaims memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from repro.nfs.messages import NfsStatus
@@ -88,6 +89,11 @@ class PairedOp:
     def is_write(self) -> bool:
         """True for WRITE operations."""
         return self.proc is NfsProc.WRITE
+
+
+#: Call-time order, ``(time, client, xid)``: how ``parallel_pair`` lists
+#: ops and batch analyses read them (the pairer emits reply order).
+call_order_key = attrgetter("time", "client", "xid")
 
 
 @dataclass

@@ -77,7 +77,12 @@ from repro.analysis.opsegment import (
     publish_segment,
     sweep_segments,
 )
-from repro.analysis.pairing import PairedOp, PairingStats, StreamPairer
+from repro.analysis.pairing import (
+    PairedOp,
+    PairingStats,
+    StreamPairer,
+    call_order_key,
+)
 
 #: Nominal records per chunk when a fixed size is requested.  The
 #: default (``chunk_records=None``) auto-tunes from the trace instead:
@@ -502,7 +507,7 @@ def _pair_chunk_segment(
     with paused_gc():
         partial = _pair_partial(decode_chunk(spec), sample=sample)
         ops = partial.ops
-        ops.sort(key=_op_sort_key)
+        ops.sort(key=call_order_key)
         payload = encode_ops(ops)
     partial.op_count = len(ops)
     partial.ops = []
@@ -577,10 +582,6 @@ def _leftover_sort_key(record: TraceRecord):
         record.client,
         record.xid,
     )
-
-
-def _op_sort_key(op: PairedOp):
-    return (op.time, op.client, op.xid)
 
 
 def _map_chunks(
@@ -670,17 +671,17 @@ def parallel_pair(
                     decode_ops(claim_segment(p.segment)) for p in partials
                 ]
                 if boundary_ops:
-                    boundary_ops.sort(key=_op_sort_key)
+                    boundary_ops.sort(key=call_order_key)
                     streams.append(iter(boundary_ops))
-                ops = list(heapq.merge(*streams, key=_op_sort_key))
+                ops = list(heapq.merge(*streams, key=call_order_key))
             else:
                 ops = sorted(
                     (op for partial in partials for op in partial.ops),
-                    key=_op_sort_key,
+                    key=call_order_key,
                 )
                 if boundary_ops:
                     ops.extend(boundary_ops)
-                    ops.sort(key=_op_sort_key)
+                    ops.sort(key=call_order_key)
     finally:
         if token is not None:
             sweep_segments(token, len(specs))

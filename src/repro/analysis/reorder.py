@@ -6,7 +6,8 @@ fix: partially sort requests within a small temporal window.  Issue
 order is recovered from RPC XIDs, which each client assigns in strictly
 increasing order.
 
-``reorder_window_sort`` performs the paper's look-ahead swap pass;
+:class:`StreamReorderer` is the one implementation of the paper's
+look-ahead swap pass; ``reorder_window_sort`` runs a list through it.
 ``swapped_fraction`` measures the percentage of accesses the sort
 moved, which regenerated over a range of window sizes is Figure 1.
 The knee of that curve picks the per-system window (the paper chose
@@ -15,141 +16,134 @@ The knee of that curve picks the per-system window (the paper chose
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from typing import Callable, Iterable, Sequence
 
 from repro.analysis.pairing import PairedOp
 
 
-def _window_sort_one_client(ops: list[PairedOp], window: float) -> list[PairedOp]:
-    """The paper's pass: for each position, look ahead ``window``
-    seconds and pull forward the lowest-XID request found there."""
-    arr = list(ops)
-    n = len(arr)
-    for p in range(n):
-        horizon = arr[p].time + window
-        best = p
-        q = p + 1
-        while q < n and arr[q].time <= horizon:
-            if arr[q].xid < arr[best].xid:
-                best = q
-            q += 1
-        if best != p:
-            item = arr.pop(best)
-            arr.insert(p, item)
-    return arr
+class _ClientScan:
+    """One client's ops not yet emitted (``pending``, arrival order),
+    ops emitted but not yet merged (``ready``), and the head's scan:
+    its horizon and lowest-XID candidate so far."""
 
+    __slots__ = ("pending", "ready", "horizon", "best", "best_xid")
 
-def reorder_window_sort(
-    ops: Iterable[PairedOp], window: float
-) -> list[PairedOp]:
-    """Sort a wire-ordered op stream within a temporal window.
-
-    Sorting is per client (XIDs are only comparable within one client's
-    channel); the per-client streams are then re-merged on (possibly
-    adjusted) emission order.  A window of 0 returns the input order.
-    """
-    ops = list(ops)
-    if window <= 0:
-        return ops
-    by_client: dict[str, list[PairedOp]] = defaultdict(list)
-    for op in ops:
-        by_client[op.client].append(op)
-    sorted_streams = {
-        client: iter(_window_sort_one_client(stream, window))
-        for client, stream in by_client.items()
-    }
-    # re-merge preserving each client's new internal order, consuming
-    # clients in the original interleaving pattern
-    merged: list[PairedOp] = []
-    for op in ops:
-        merged.append(next(sorted_streams[op.client]))
-    return merged
+    def __init__(self) -> None:
+        self.pending: list[PairedOp] = []
+        self.ready: deque[PairedOp] = deque()
+        self.horizon, self.best, self.best_xid = 0.0, 0, 0
 
 
 class StreamReorderer:
-    """Streaming form of :func:`reorder_window_sort`.
+    """The paper's look-ahead swap pass, one push at a time.
 
-    Emits the exact same op sequence, one push at a time.  The batch
-    pass is streamable because its look-ahead scan stops at the *first*
-    op past ``head.time + window``: the moment one such op arrives, the
-    head's candidate set is complete no matter what comes later, and
-    the minimum-XID candidate can be emitted.  Per-client emissions are
-    re-merged in the original arrival interleaving, exactly as
-    :func:`reorder_window_sort` does.
-
-    Memory is bounded by the ops buffered inside one look-ahead window
-    per client (plus the merge queue covering the same span).
+    Per client, each position takes the lowest-XID op among the head
+    and the ops after it up to the first one past ``head.time +
+    window`` (XIDs are only comparable within one client).  That scan
+    stops at the *first* op past the horizon, so the moment one arrives
+    the head's candidates are complete.  The scan is incremental: a
+    push that completes nothing looks only at the new op.  After an
+    emission the next head's scan restarts from the front, because
+    input order need not be time order (the engine feeds ops in
+    completion order), so a new head's horizon can be shorter.
+    Per-client emissions are re-merged in the arrival interleaving.  A
+    window of 0 passes ops through unchanged.  Memory is bounded by the
+    ops inside one look-ahead window per client.
     """
 
-    __slots__ = ("window", "sink", "_pending", "_ready", "_order")
+    __slots__ = ("window", "sink", "_clients", "_order")
 
     def __init__(
         self, window: float, sink: Callable[[PairedOp], None]
     ) -> None:
         self.window = window
         self.sink = sink
-        self._pending: dict[str, list[PairedOp]] = {}
-        self._ready: dict[str, deque[PairedOp]] = {}
+        self._clients: dict[str, _ClientScan] = {}
+        #: the client of every buffered op, in arrival order
         self._order: deque[str] = deque()
 
     def push(self, op: PairedOp) -> None:
-        """Consume one op in wire order; emits any ops now decidable."""
+        """Consume one op; emits any ops now decidable."""
         if self.window <= 0:
             self.sink(op)
             return
-        self._order.append(op.client)
-        pending = self._pending.get(op.client)
-        if pending is None:
-            pending = self._pending[op.client] = []
-            self._ready[op.client] = deque()
+        client = op.client
+        self._order.append(client)
+        scan = self._clients.get(client)
+        if scan is None:
+            scan = self._clients[client] = _ClientScan()
+        pending = scan.pending
         pending.append(op)
-        self._drain_client(op.client, final=False)
-        self._emit_merged()
+        if len(pending) == 1:
+            scan.horizon, scan.best, scan.best_xid = op.time + self.window, 0, op.xid
+        elif op.time <= scan.horizon:
+            if op.xid < scan.best_xid:
+                scan.best, scan.best_xid = len(pending) - 1, op.xid
+        else:
+            self._drain(scan, final=False)
+            self._emit_merged()
 
     def close(self) -> None:
         """End of stream: every pending scan is complete; flush all."""
-        if self.window <= 0:
-            return
-        for client in self._pending:
-            self._drain_client(client, final=True)
+        for scan in self._clients.values():
+            if scan.pending:
+                self._drain(scan, final=True)
         self._emit_merged()
 
     def buffered(self) -> int:
         """Ops currently held back awaiting their horizon."""
         return len(self._order)
 
-    def _drain_client(self, client: str, *, final: bool) -> None:
-        # Repeat the batch pass's inner scan on the buffered prefix:
-        # candidates are the contiguous run of ops within the head's
-        # horizon.  A scan that runs off the buffered end is only
-        # decidable once the stream has closed (``final``).
-        pending = self._pending[client]
-        ready = self._ready[client]
+    def _drain(self, scan: _ClientScan, *, final: bool) -> None:
+        # The head's scan is complete: emit its pick, then scan the next
+        # head from the front until one runs off the buffered end, which
+        # is only decidable once the stream has closed (``final``).
+        pending = scan.pending
+        ready = scan.ready
         window = self.window
-        while pending:
-            horizon = pending[0].time + window
-            best = 0
-            i = 1
-            n = len(pending)
-            while i < n and pending[i].time <= horizon:
-                if pending[i].xid < pending[best].xid:
-                    best = i
-                i += 1
-            if i >= n and not final:
-                return
+        best = scan.best
+        while True:
             ready.append(pending.pop(best))
+            if not pending:
+                return
+            head = pending[0]
+            horizon = head.time + window
+            best, best_xid = 0, head.xid
+            for i in range(1, len(pending)):
+                candidate = pending[i]
+                if candidate.time > horizon:
+                    break
+                if candidate.xid < best_xid:
+                    best, best_xid = i, candidate.xid
+            else:
+                if not final:
+                    scan.horizon, scan.best, scan.best_xid = horizon, best, best_xid
+                    return
 
     def _emit_merged(self) -> None:
         order = self._order
-        ready = self._ready
+        clients = self._clients
         sink = self.sink
         while order:
-            client_ready = ready[order[0]]
-            if not client_ready:
+            ready = clients[order[0]].ready
+            if not ready:
                 return
             order.popleft()
-            sink(client_ready.popleft())
+            sink(ready.popleft())
+
+
+def reorder_window_sort(
+    ops: Iterable[PairedOp], window: float
+) -> list[PairedOp]:
+    """The ops re-sorted by one :class:`StreamReorderer` pass."""
+    out: list[PairedOp] = []
+    reorderer = StreamReorderer(window, out.append)
+    push = reorderer.push
+    for op in ops:
+        push(op)
+    reorderer.close()
+    return out
 
 
 def swapped_fraction(ops: Sequence[PairedOp], window: float) -> float:

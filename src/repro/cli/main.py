@@ -23,7 +23,7 @@ from repro.analysis.lifetimes import (
     DEATH_TRUNCATE,
     BlockLifetimeAnalyzer,
 )
-from repro.analysis.pairing import pair_all
+from repro.analysis.pairing import call_order_key, pair_all
 from repro.analysis.reorder import reorder_window_sort
 from repro.analysis.runs import RunBuilder, classify_runs
 from repro.analysis.summary import summarize_trace
@@ -260,10 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--jumps", type=int, default=10,
                          help="seek tolerance in blocks (1 = strict)")
     analyze.add_argument("--stream", action="store_true",
-                         help="one-pass bounded-memory engine: summary and "
-                              "runs sections are identical to the batch "
-                              "path; the characterization is replaced by "
-                              "streaming extras (top files, latency)")
+                         help="one-pass bounded-memory engine, as summary "
+                              "and runs use: ops in completion order, so "
+                              "the runs section equals batch analyze's "
+                              "only when the window covers reorder delays; "
+                              "streaming extras replace the characterization")
     analyze.add_argument("--metrics-out", default=None,
                          help="write pool/codec metrics snapshot here "
                               "(.prom -> Prometheus text, else JSON)")
@@ -576,14 +577,7 @@ def cmd_simulate(args) -> int:
                     if record.time >= SECONDS_PER_DAY:
                         writer.write(record)
                         count += 1
-        if args.metrics_out:
-            snapshot = system.metrics.snapshot()
-            if args.metrics_out.endswith(".prom"):
-                Path(args.metrics_out).write_text(to_prom_text(system.metrics))
-            else:
-                Path(args.metrics_out).write_text(
-                    json.dumps(snapshot, indent=2) + "\n"
-                )
+        _write_metrics(args.metrics_out, system.metrics)
         if event_log is not None:
             event_log.emit("simulate.done", time=system.clock.now,
                            records=count,
@@ -666,13 +660,7 @@ def cmd_watch(args) -> int:
                     writer.write(record)
                     count += 1
         print(f"wrote {count} records to {args.out}")
-    if args.metrics_out:
-        if args.metrics_out.endswith(".prom"):
-            Path(args.metrics_out).write_text(to_prom_text(system.metrics))
-        else:
-            Path(args.metrics_out).write_text(
-                json.dumps(system.metrics.snapshot(), indent=2) + "\n"
-            )
+    _write_metrics(args.metrics_out, system.metrics)
     return 0
 
 
@@ -1311,23 +1299,35 @@ def cmd_anonymize(args) -> int:
 
 
 def _pair_trace(path):
-    """Pair a whole trace file; ``(ops, stats)``, erroring when empty."""
+    """Pair a whole trace file; ``(ops, stats)`` with the ops in
+    call-time order, as ``parallel_pair`` lists them, erroring when
+    empty."""
     with TraceReader(path) as reader:
         ops, stats = pair_all(reader)
     if not ops:
         raise ValueError(f"no pairable operations in {path}")
+    ops.sort(key=call_order_key)
     return ops, stats
 
 
-def _window(args, ops):
-    """The analysis window: ``--start``/``--end``, else min/max call time.
+def _stream_trace(path, analyses, *, metrics=None, spans=None):
+    """One engine pass over a trace file with ``analyses`` registered;
+    ``(results, engine)``, erroring when nothing pairs."""
+    engine = StreamEngine(metrics=metrics, spans=spans)
+    for analysis in analyses:
+        engine.register(analysis)
+    with TraceReader(path) as reader:
+        results = engine.run(reader)
+    if results["pairing"].paired == 0:
+        raise ValueError(f"no pairable operations in {path}")
+    return results, engine
 
-    ``pair_all`` lists ops in *reply* order, so the first and last ops
-    need not carry the extreme call times — and the streaming engine,
-    which learns its bounds the same way, must agree with this exactly.
-    """
-    start = args.start if args.start is not None else min(op.time for op in ops)
-    end = args.end if args.end is not None else max(op.time for op in ops) + 1e-6
+
+def _window(args, ops):
+    """The analysis window of call-time-ordered ``ops``:
+    ``--start``/``--end``, else the first and last call time."""
+    start = args.start if args.start is not None else ops[0].time
+    end = args.end if args.end is not None else ops[-1].time + 1e-6
     return start, end
 
 
@@ -1375,32 +1375,27 @@ def _runs_text(input_path, table, window_ms, jumps) -> str:
 
 
 def cmd_summary(args) -> int:
-    """Print a Table 2-style summary.
-
-    Runs through the streaming engine in one bounded-memory pass; the
-    output is identical to the old materialize-then-summarize path
-    because both accumulate through
-    :meth:`~repro.analysis.summary.TraceSummary.add` over the same
-    default window.
-    """
-    engine = StreamEngine()
-    engine.register(StreamSummary(start=args.start, end=args.end))
-    with TraceReader(args.input) as reader:
-        results = engine.run(reader)
-    stats = results["pairing"]
-    if stats.paired == 0:
-        raise ValueError(f"no pairable operations in {args.input}")
-    print(_summary_text(args.input, results["summary"], stats))
+    """Print a Table 2-style summary: ``analyze --stream``'s summary
+    section, from one bounded-memory pass on the streaming engine."""
+    results, _engine = _stream_trace(
+        args.input, [StreamSummary(start=args.start, end=args.end)]
+    )
+    print(_summary_text(args.input, results["summary"], results["pairing"]))
     return 0
 
 
 def cmd_runs(args) -> int:
-    """Print a Table 3-style run classification."""
-    ops, _stats = _pair_trace(args.input)
-    start, end = _window(args, ops)
-    table = _batch_runs_table(ops, start, end, args.window_ms, args.jumps)
-    print(_runs_text(args.input, table, args.window_ms, args.jumps))
+    """Print a Table 3-style run classification: ``analyze --stream``'s
+    runs section, from one bounded-memory pass on the streaming engine."""
+    results, _engine = _stream_trace(args.input, [_stream_runs(args)])
+    print(_runs_text(args.input, results["runs"], args.window_ms, args.jumps))
     return 0
+
+
+def _stream_runs(args) -> StreamRuns:
+    """The run analysis ``runs`` and ``analyze --stream`` register."""
+    return StreamRuns(window=args.window_ms / 1000.0, jump_blocks=args.jumps,
+                      start=args.start, end=args.end)
 
 
 def cmd_lifetimes(args) -> int:
@@ -1478,12 +1473,12 @@ def cmd_analyze(args) -> int:
 
     Pairing is the expensive part, so it happens exactly once — via
     :func:`repro.analysis.parallel.parallel_pair`, fanned over
-    ``--jobs`` worker processes — and its operation list feeds the
-    summary, run-pattern, and characterization reports.  Output is
-    byte-identical for every ``--jobs`` value.
+    ``--jobs`` worker processes — and its operation list, in call-time
+    order like ``_pair_trace``'s, feeds the summary, run-pattern, and
+    characterization reports.  Output is byte-identical for every
+    ``--jobs`` value.
     """
     from repro.analysis.parallel import parallel_pair
-    from repro.obs import MetricsRegistry
 
     if args.stream:
         return _cmd_analyze_stream(args)
@@ -1551,31 +1546,27 @@ def _write_metrics(path, metrics) -> None:
 def _cmd_analyze_stream(args) -> int:
     """``repro analyze --stream``: the one-pass bounded-memory suite.
 
-    The summary and runs sections are byte-identical to the batch
-    path's (the streaming analyses are exact); the characterization —
-    inherently a multi-structure batch computation — is replaced by
-    sketch-backed streaming extras.
+    Its summary and runs sections are ``repro summary``'s and ``repro
+    runs``' text (all three see ops in completion order).  Batch
+    ``analyze`` reads them in call-time order: its summary section
+    always agrees, its runs section when the window covers the reorder
+    delays.  Sketch-backed streaming extras replace the
+    characterization, inherently a multi-structure batch computation.
     """
-    from repro.obs import MetricsRegistry
-
     metrics = MetricsRegistry()
     spans, span_sink = _analysis_spans(args, metrics)
-    engine = StreamEngine(metrics=metrics, spans=spans)
-    engine.register(StreamSummary(start=args.start, end=args.end))
-    engine.register(StreamRuns(
-        window=args.window_ms / 1000.0, jump_blocks=args.jumps,
-        start=args.start, end=args.end,
-    ))
-    top = engine.register(StreamTopFiles())
-    latency = engine.register(StreamLatency())
+    top = StreamTopFiles()
+    latency = StreamLatency()
     try:
-        with TraceReader(args.input) as reader:
-            results = engine.run(reader)
-        stats = results["pairing"]
-        if stats.paired == 0:
-            raise ValueError(f"no pairable operations in {args.input}")
+        results, engine = _stream_trace(
+            args.input,
+            [StreamSummary(start=args.start, end=args.end),
+             _stream_runs(args), top, latency],
+            metrics=metrics, spans=spans,
+        )
     finally:
         spans_emitted = _finish_analysis_spans(spans, span_sink)
+    stats = results["pairing"]
     print(_summary_text(args.input, results["summary"], stats))
     print()
     print(_runs_text(args.input, results["runs"], args.window_ms, args.jumps))

@@ -9,11 +9,11 @@ reproduces a batch analysis in one bounded-memory pass:
   totals are identical field-for-field; per-day sub-summaries flush
   through a tumbling window.
 * :class:`StreamRuns` — Table 3 run patterns.  **Exact**: ops flow
-  through :class:`~repro.analysis.reorder.StreamReorderer` (provably
-  the same sequence as ``reorder_window_sort``) into a sink-mode
-  :class:`~repro.analysis.runs.RunBuilder` and a shared
-  :class:`~repro.analysis.runs.RunPatternTally`, so the resulting
-  table equals ``classify_runs`` on the batch pipeline.
+  through :class:`~repro.analysis.reorder.StreamReorderer` (the one
+  reorder pass) into a sink-mode :class:`~repro.analysis.runs.RunBuilder`
+  and a shared :class:`~repro.analysis.runs.RunPatternTally`, so the
+  table equals ``classify_runs`` on the batch pipeline fed the same
+  op order.
 * :class:`StreamLifetimes` — Table 4 / Figure 3 block lifetimes.
   Birth/death **counts are exact** (same create-based mechanics,
   inherited); the lifetime *distribution* is a fixed log-bucket

@@ -122,6 +122,45 @@ class TestAnalysisCommands:
         assert "Dominant call type" in out
         assert "Dominant death cause" in out
 
+    def test_report_is_analyze_characterization(self, campus_trace, capsys):
+        """Both read ops in call-time order, so they print one table."""
+        assert main(["report", "--in", str(campus_trace)]) == 0
+        report = capsys.readouterr().out.strip()
+        assert main(["analyze", "--in", str(campus_trace)]) == 0
+        assert capsys.readouterr().out.strip().split("\n\n")[2] == report
+
+    def test_lifetimes_reads_ops_in_call_time_order(self, tmp_path, capsys):
+        """A late reply must not end the trace before later calls.
+
+        The GETATTR called at 11.9 s is answered last, at 15 s; in reply
+        order it would end phase 2 at 11.9 s and drop the REMOVE.
+        """
+        trace = tmp_path / "late-reply.trace"
+        trace.write_text(
+            "1.000000 C c1 srv V3 1 create fh=d name=a\n"
+            "1.001000 R c1 srv V3 1 create NFS3_OK fh=f attr_size=0\n"
+            "9.000000 C c1 srv V3 2 write fh=f offset=0 count=8192\n"
+            "9.001000 R c1 srv V3 2 write NFS3_OK fh=f attr_size=8192\n"
+            "11.900000 C c1 srv V3 3 getattr fh=f\n"
+            "12.000000 C c1 srv V3 4 remove fh=d name=a\n"
+            "12.001000 R c1 srv V3 4 remove NFS3_OK fh=d\n"
+            "13.500000 C c1 srv V3 5 lookup fh=d name=b\n"
+            "13.501000 R c1 srv V3 5 lookup NFS3_OK fh=d\n"
+            "15.000000 R c1 srv V3 3 getattr NFS3_OK fh=f attr_size=8192\n"
+        )
+        assert main(["lifetimes", "--in", str(trace),
+                     "--phase1-end", "10"]) == 0
+        rows = {
+            line.rsplit(None, 1)[0]: line.rsplit(None, 1)[1]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith(("Total deaths", "  by deletion", "End surplus"))
+        }
+        assert rows == {
+            "Total deaths": "1",
+            "  by deletion": "100.0%",
+            "End surplus": "0.0%",
+        }
+
     def test_names(self, campus_trace, capsys):
         assert main(["names", "--in", str(campus_trace)]) == 0
         out = capsys.readouterr().out

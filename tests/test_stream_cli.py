@@ -76,6 +76,17 @@ class TestAnalyzeStream:
         assert stream[0] == batch[0]
         assert stream[1] == batch[1]
 
+    def test_runs_command_prints_stream_runs_section(
+        self, campus_trace, capsys
+    ):
+        window = ("--start", str(1.0 * SECONDS_PER_DAY),
+                  "--end", str(1.2 * SECONDS_PER_DAY))
+        for extra in ((), window):
+            stream = _sections(
+                self._analyze(capsys, campus_trace, "--stream", *extra))
+            assert main(["runs", "--in", str(campus_trace), *extra]) == 0
+            assert capsys.readouterr().out.rstrip("\n") == stream[1]
+
     def test_empty_trace_rejected(self, tmp_path, capsys):
         empty = tmp_path / "empty.trace"
         empty.write_text("")

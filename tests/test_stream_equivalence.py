@@ -1,15 +1,18 @@
 """Property-based equivalence: streaming analyses vs their batch twins.
 
-The streaming subsystem's headline claim is exactness — `StreamReorderer`,
-`StreamSummary`, and `StreamRuns` must reproduce the batch pipeline
-bit-for-bit on any input, and `StreamLifetimes` must agree on every
-count and on the CDF at its histogram's bucket edges.  Pairing has one
-implementation, but chunked pairing still merges chunk boundaries, so
-it must agree with one sequential pass however the trace is cut.
-These tests drive both sides with identical randomized streams.
+The streaming subsystem's headline claim is exactness — `StreamSummary`
+and `StreamRuns` must reproduce the batch pipeline bit-for-bit on any
+input, and `StreamLifetimes` must agree on every count and on the CDF
+at its histogram's bucket edges.  Pairing and reordering have one
+implementation each.  Chunked pairing still merges chunk boundaries,
+so it must agree with one sequential pass however the trace is cut;
+the reorderer must agree with the paper's literal look-ahead pass,
+kept here as the oracle.  These tests drive both sides with identical
+randomized streams.
 """
 
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -145,11 +148,78 @@ def data_op_streams(draw):
     return ops
 
 
-@settings(max_examples=200)
-@given(data_op_streams(), st.sampled_from([0.0, 0.002, 0.01, 0.1]))
-def test_stream_reorderer_matches_window_sort(ops, window):
+@st.composite
+def jittered_op_streams(draw):
+    """Op streams that need swaps: per-client XIDs drawn out of order
+    (with repeats) and wire times jittered so they are not monotone.
+    Times sit on a microsecond grid, which keeps the draws spread out
+    and makes exact horizon ties likely."""
+    entries = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=2000),      # gap (us)
+            st.integers(min_value=-4000, max_value=4000),  # jitter (us)
+            st.sampled_from(["c1", "c2", "c3"]),
+            st.integers(min_value=0, max_value=15),        # xid
+            st.sampled_from(["f1", "f2", "f3"]),
+            st.integers(min_value=0, max_value=30),        # block index
+            st.sampled_from(["read", "read", "write", "lookup"]),
+        ),
+        min_size=20, max_size=60,
+    ))
+    ops = []
+    t = 0
+    for gap, jitter, client, xid, fh, block, kind in entries:
+        t += gap
+        time = (t + jitter) / 1e6
+        if kind == "read":
+            ops.append(read(time, block * 8192, 8192, fh=fh,
+                            file_size=10**6, xid=xid, client=client))
+        elif kind == "write":
+            ops.append(write(time, block * 8192, 8192, fh=fh, xid=xid,
+                             client=client))
+        else:
+            ops.append(lookup(time, "d0", f"n{block}", fh, client=client))
+    return ops
+
+
+#: 0-100 ms, half of the draws near the jitter, where a new head's
+#: horizon can be shorter than the old one's
+windows = (
+    st.integers(min_value=0, max_value=10_000)
+    | st.integers(min_value=0, max_value=100_000)
+).map(lambda us: us / 1e6)
+
+
+def paper_window_sort(ops, window):
+    """The paper's pass, literally: per client, each position looks
+    ahead ``window`` seconds and pulls forward the lowest-XID request
+    found there; the clients are re-merged in the input interleaving."""
+    ops = list(ops)
+    if window <= 0:
+        return ops
+    by_client = defaultdict(list)
+    for op in ops:
+        by_client[op.client].append(op)
+    sorted_streams = {}
+    for client, arr in by_client.items():
+        for p in range(len(arr)):
+            horizon = arr[p].time + window
+            best = p
+            q = p + 1
+            while q < len(arr) and arr[q].time <= horizon:
+                if arr[q].xid < arr[best].xid:
+                    best = q
+                q += 1
+            arr.insert(p, arr.pop(best))
+        sorted_streams[client] = iter(arr)
+    return [next(sorted_streams[op.client]) for op in ops]
+
+
+@settings(max_examples=400, deadline=None)
+@given(jittered_op_streams(), windows)
+def test_reorderer_matches_paper_pass(ops, window):
     data = [op for op in ops if op.is_read() or op.is_write()]
-    expected = reorder_window_sort(data, window)
+    expected = paper_window_sort(data, window)
 
     got = []
     reorderer = StreamReorderer(window, got.append)
@@ -157,8 +227,9 @@ def test_stream_reorderer_matches_window_sort(ops, window):
         reorderer.push(op)
     reorderer.close()
 
-    assert len(got) == len(expected)
-    assert all(a is b for a, b in zip(got, expected))
+    for out in (got, reorder_window_sort(data, window)):
+        assert len(out) == len(expected)
+        assert all(a is b for a, b in zip(out, expected))
     assert reorderer.buffered() == 0
 
 
@@ -181,9 +252,9 @@ def test_stream_summary_matches_batch(ops):
     assert sum(s.total_ops for _, _, s in summary.daily) == len(ops)
 
 
-@settings(max_examples=150)
+@settings(max_examples=150, deadline=None)
 @given(
-    data_op_streams(),
+    jittered_op_streams(),
     st.sampled_from([0.0, 0.005, 0.02]),
     st.integers(min_value=1, max_value=4),
 )
@@ -195,7 +266,7 @@ def test_stream_runs_matches_batch(ops, window, jumps):
 
     data = [op for op in ops if op.is_read() or op.is_write()]
     expected = classify_runs(
-        RunBuilder().feed_all(reorder_window_sort(data, window)).finish(),
+        RunBuilder().feed_all(paper_window_sort(data, window)).finish(),
         jump_blocks=jumps,
     )
     assert sruns.result() == expected
