@@ -552,9 +552,9 @@ def cmd_simulate(args) -> int:
     if args.shards is not None:
         return _simulate_sharded(args)
     system, workload, params = _build_system(args)
-    # the metrics window matches the trace window below: the warm-up
-    # Sunday is simulated but not counted, so the snapshot agrees with
-    # analyses run over the written trace
+    # one window for the metrics and the capture: the warm-up Sunday
+    # is simulated but neither counted nor retained, so the snapshot
+    # agrees with analyses run over the written trace
     system.start_measurement(SECONDS_PER_DAY)
     end = (1.0 + args.days) * SECONDS_PER_DAY
     event_log = EventLog(args.events_out) if args.events_out else None
@@ -567,16 +567,11 @@ def cmd_simulate(args) -> int:
                        days=args.days, users=params.users)
     # the simulated week begins on a quiet Sunday; run through it so
     # the requested window starts Monday 00:00 with caches warm
-    count = 0
     try:
         with timer.phase("simulate"):
             system.run(end)
         with timer.phase("write_trace"):
-            with TraceWriter(args.out) as writer:
-                for record in system.collector.sorted_records():
-                    if record.time >= SECONDS_PER_DAY:
-                        writer.write(record)
-                        count += 1
+            count = system.collector.write(args.out)
         _write_metrics(args.metrics_out, system.metrics)
         if event_log is not None:
             event_log.emit("simulate.done", time=system.clock.now,
@@ -653,12 +648,7 @@ def cmd_watch(args) -> int:
     if span_line is not None:
         print(span_line)
     if args.out:
-        count = 0
-        with TraceWriter(args.out) as writer:
-            for record in system.collector.sorted_records():
-                if record.time >= SECONDS_PER_DAY:
-                    writer.write(record)
-                    count += 1
+        count = system.collector.write(args.out)
         print(f"wrote {count} records to {args.out}")
     _write_metrics(args.metrics_out, system.metrics)
     return 0

@@ -16,7 +16,7 @@ invalidation.  The standard behaviour modelled here:
 
 Internally every table is keyed by the handle's hex token rather than
 the handle object: string hashing is C-level and cached in the string,
-which matters because ``has_block`` runs once per 8 KB of every read.
+which matters because a read touches the LRU once per 8 KB block.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ class CachedFile:
     attrs: FileAttributes
     attrs_fetched_at: float
     blocks: set[int] = field(default_factory=set)
-
-    def attrs_fresh(self, now: float, ac_timeout: float) -> bool:
-        """Whether the cached attributes are still within the ac timeout."""
-        return (now - self.attrs_fetched_at) <= ac_timeout
 
 
 class ClientCache:
@@ -187,23 +183,31 @@ class ClientCache:
         self._lru.move_to_end((key, block))
         return True
 
-    def touch_block(self, entry: CachedFile, block: int) -> None:
-        """Refresh LRU recency for a block known to be in ``entry``.
+    def touch_span(self, entry: CachedFile, first: int, last: int) -> bool:
+        """Touch blocks ``first..last`` of ``entry`` once each, ascending.
 
-        The fast path for callers that already hold the
-        :class:`CachedFile` (see :meth:`get_file`) and have checked
-        ``block in entry.blocks`` themselves — equivalent to a
-        :meth:`has_block` hit without re-resolving the handle.
+        Only when every one of them is cached: otherwise nothing is
+        touched and the result is False.  One ascending pass leaves the
+        LRU in the same order as any touch sequence whose *last* touch
+        of each block comes in ascending block order, which is what a
+        fully cached sequential read with read-ahead produces.
         """
-        self._lru.move_to_end((entry.fh.hex, block))
+        span = range(first, last + 1)
+        if not entry.blocks.issuperset(span):
+            return False
+        key = entry.fh.hex
+        move = self._lru.move_to_end
+        for block in span:
+            move((key, block))
+        return True
 
     @property
     def block_lru(self) -> OrderedDict:
         """The global block LRU, keyed by ``(fh token, block)``.
 
-        Exposed for the client's read fast path, which hoists
-        ``block_lru.move_to_end`` out of its per-block loop; treat it
-        as read/touch-only — inserts and evictions stay in here.
+        Exposed for the client's per-block read loop, which hoists
+        ``block_lru.move_to_end`` out of the loop; treat it as
+        read/touch-only — inserts and evictions stay in here.
         """
         return self._lru
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import SimulationError
-from repro.fs.blockmap import BLOCK_SIZE, block_range
+from repro.fs.blockmap import BLOCK_SIZE
 from repro.client.cache import ClientCache
 from repro.client.nfsiod import NfsiodPool
 from repro.nfs.attributes import FileAttributes
@@ -196,9 +196,16 @@ class NfsClient:
         wire block by block through the nfsiod pool, plus read-ahead
         when the access pattern has been sequential.
 
-        This loop runs once per 8 KB of every read in the simulation,
-        so the sequential-streak tracking and read-ahead issue logic
-        are inlined against a single cache-entry lookup per call.
+        Most CAMPUS reads are absorbed in full.  When every block of
+        the read is cached, and so is the read-ahead window the
+        per-block loop would scan, the loop could issue no RPC, insert
+        nothing and evict nothing: such a read touches each block of
+        that span once (:meth:`ClientCache.touch_span`), which leaves
+        the LRU in the loop's last-touch order, and settles its
+        counters and streak arithmetically.  Any other read runs the
+        per-block loop, where the sequential-streak tracking and
+        read-ahead issue logic are inlined against a single
+        cache-entry lookup per call.
         """
         self._sync_cursor()
         if count <= 0:
@@ -210,17 +217,43 @@ class NfsClient:
         count = min(count, size - offset)
         cache = self.cache
         fh = of.fh
-        fh_hex = fh.hex
         entry = cache.get_file(fh)
-        blocks = entry.blocks if entry is not None else frozenset()
-        lru_move = cache.block_lru.move_to_end
-        read_end = offset + count
-        readahead = self.readahead_blocks
+        first = offset // BLOCK_SIZE
+        last = (offset + count - 1) // BLOCK_SIZE
         last_block = of.last_block
         streak = of.sequential_streak
         prefetched = of.prefetched
+        if entry is not None:
+            # the streak the per-block loop reaches at ``last``: the
+            # first block continues, repeats or breaks the stream, and
+            # every later block of the read continues it
+            end_streak = streak
+            if last_block is not None and first != last_block:
+                end_streak = streak + 1 if first == last_block + 1 else 0
+            end_streak += last - first
+            # the streak only grows within a read, so the span from
+            # ``first`` to the window scanned at ``last`` covers every
+            # earlier block's window
+            span_end = last
+            if end_streak >= 2:
+                span_end = min(last + self.readahead_blocks,
+                               (size - 1) // BLOCK_SIZE)
+            if cache.touch_span(entry, first, span_end):
+                if prefetched:
+                    used = [b for b in prefetched if first <= b <= last]
+                    if used:
+                        prefetched.difference_update(used)
+                        self._n_ra_used += len(used)
+                of.last_block = last
+                of.sequential_streak = end_streak
+                self._n_absorbed += last - first + 1
+                return count
+        fh_hex = fh.hex
+        blocks = entry.blocks if entry is not None else frozenset()
+        lru_move = cache.block_lru.move_to_end
+        readahead = self.readahead_blocks
         absorbed = ra_used = misses = 0
-        for block in block_range(offset, count):
+        for block in range(first, last + 1):
             if block in blocks:
                 lru_move((fh_hex, block))
                 absorbed += 1
@@ -279,11 +312,7 @@ class NfsClient:
         self._n_absorbed += absorbed
         self._n_ra_used += ra_used
         self._n_read_misses += misses
-        # bytes obtained: every block in [offset, offset+count) overlaps
-        # the request in full except the last (count was clamped to EOF)
-        last_start = (read_end - 1) // BLOCK_SIZE * BLOCK_SIZE
-        got = (last_start - offset // BLOCK_SIZE * BLOCK_SIZE) + (read_end - last_start)
-        return min(got, count)
+        return count
 
     def write(self, of: OpenFile, offset: int, count: int) -> int:
         """Write ``count`` bytes at ``offset`` (write-through, 8 KB chunks)."""

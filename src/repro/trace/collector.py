@@ -1,18 +1,27 @@
 """The trace collector — the simulated tracing host.
 
 Installed as a tap on a network path (usually behind a
-:class:`~repro.netsim.mirror.MirrorPort`), it converts every observed
-call/reply into a :class:`TraceRecord`.  Records accumulate in memory
-in capture order; ``sorted_records()`` — and ``write()`` — return them
-in wire-timestamp order, which is the order a real capture file would
-have after the sniffer's internal reordering buffer.  The sort is
-computed once and cached until the next capture.
+:class:`~repro.netsim.mirror.MirrorPort`), it converts observed
+calls/replies into :class:`TraceRecord` objects.  Records accumulate in
+memory in capture order; ``sorted_records()`` — and ``write()`` —
+return them in wire-timestamp order, which is the order a real capture
+file would have after the sniffer's internal reordering buffer.  The
+sort is computed once and cached until the next capture.
+
+Live-capture retention follows the measurement window: a packet whose
+wire time is before ``measure_from`` (see
+:meth:`~repro.workloads.harness.TracedSystem.start_measurement`) is
+neither tallied nor retained, and its record is not built at all
+unless a subscriber wants it.  So a warm-up day is simulated but never
+materialized, and the retained capture is exactly the windowed trace.
+:meth:`~TraceCollector.ingest` is the exception: it retains every
+record it is given and windows only the tallies.
 
 Live consumers (the streaming engine behind ``repro watch``) can
 :meth:`~TraceCollector.subscribe` a callback that receives every record
-at capture time; with ``retain=False`` the collector becomes a pure
-tap — nothing accumulates, so a watched simulation runs in bounded
-memory no matter how long it goes.
+— before the window too — at capture time; with ``retain=False`` the
+collector becomes a pure tap — nothing accumulates, so a watched
+simulation runs in bounded memory no matter how long it goes.
 
 Metrics (under ``trace.*``): records and approximate wire bytes
 captured, per direction.
@@ -95,11 +104,13 @@ class TraceCollector:
 
     def on_call(self, call: NfsCall) -> None:
         """Capture one call packet."""
-        record = TraceRecord.from_call(call)
-        if self.retain:
-            self.records.append(record)
-            self._sorted = None
-        if self._subscribers:
+        measured = call.time >= self.measure_from
+        keep = measured and self.retain
+        if keep or self._subscribers:
+            record = TraceRecord.from_call(call)
+            if keep:
+                self.records.append(record)
+                self._sorted = None
             for callback in self._subscribers:
                 callback(record)
         spans = self._spans
@@ -107,7 +118,7 @@ class TraceCollector:
             tid = spans.wire_trace()  # taps run inside the exchange
             if tid is not None:
                 spans.capture_span(tid, "call", call.time)
-        if call.time >= self.measure_from:
+        if measured:
             self._n_calls += 1
             # wire_size(call), inlined for the per-packet path
             size = HEADER_BYTES
@@ -119,11 +130,13 @@ class TraceCollector:
 
     def on_reply(self, reply: NfsReply) -> None:
         """Capture one reply packet."""
-        record = TraceRecord.from_reply(reply)
-        if self.retain:
-            self.records.append(record)
-            self._sorted = None
-        if self._subscribers:
+        measured = reply.time >= self.measure_from
+        keep = measured and self.retain
+        if keep or self._subscribers:
+            record = TraceRecord.from_reply(reply)
+            if keep:
+                self.records.append(record)
+                self._sorted = None
             for callback in self._subscribers:
                 callback(record)
         spans = self._spans
@@ -131,7 +144,7 @@ class TraceCollector:
             tid = spans.wire_trace()  # taps run inside the exchange
             if tid is not None:
                 spans.capture_span(tid, "reply", reply.time)
-        if reply.time >= self.measure_from:
+        if measured:
             self._n_replies += 1
             size = HEADER_BYTES
             if reply.proc is NfsProc.READ and reply.count:
@@ -188,7 +201,9 @@ class TraceCollector:
     def write(self, path: str | Path) -> int:
         """Write the capture to ``path`` in wire-timestamp order.
 
-        Returns the record count.
+        Records stream through :meth:`TraceWriter.write` one at a time,
+        so the writer encodes them in blocks rather than as one block
+        the size of the capture.  Returns the record count.
         """
         records = self.sorted_records()
         with TraceWriter(path) as writer:

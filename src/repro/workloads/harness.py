@@ -186,15 +186,16 @@ class TracedSystem:
         return client
 
     def start_measurement(self, t0: float) -> None:
-        """Exclude packets with wire time before ``t0`` from the metrics.
+        """Exclude packets with wire time before ``t0`` from the capture.
 
         Traffic before ``t0`` is still simulated, forwarded, and
-        captured — only the ``server.*``, ``mirror.*``, and ``trace.*``
-        instruments ignore it.  This aligns the snapshot with a trace
-        windowed at the same wire-time boundary (e.g. skipping a
-        warm-up day), so ``server.calls{proc=...}`` equals the paired
-        per-procedure counts an analysis derives from the written
-        trace.  Client- and loop-level metrics are not windowed.
+        mirrored — only the ``server.*``, ``mirror.*``, and ``trace.*``
+        instruments ignore it, and the collector neither retains nor
+        builds its records (subscribers still receive them).  So the
+        retained capture is the trace windowed at ``t0`` (e.g. skipping
+        a warm-up day), and ``server.calls{proc=...}`` equals the
+        paired per-procedure counts an analysis derives from it.
+        Client- and loop-level metrics are not windowed.
         """
         self.server.measure_from = t0
         self.network.measure_from = t0

@@ -243,13 +243,12 @@ def _run_group(task: ShardTask, gid: int, *, inline: bool = False) -> GroupOutco
     workload.attach(system)
     system.run(task.end_time)
 
-    start = task.start_time
-    records = [r for r in system.collector.sorted_records() if r.time >= start]
-    # Key-sort here, in the worker: the parent k-way merges the group
-    # streams instead of sorting the world.  The sort is stable, so
-    # exact-key ties (a duplicate reply re-captured in the same
+    # The collector retained only the measured window, in capture
+    # order.  Key-sort here, in the worker: the parent k-way merges the
+    # group streams instead of sorting the world.  The sort is stable,
+    # so exact-key ties (a duplicate reply re-captured in the same
     # instant) keep their capture order.
-    records.sort(key=_record_key)
+    records = sorted(system.collector.records, key=_record_key)
     buffer = io.BytesIO()
     encoder = BinaryTraceEncoder(buffer, buffered=True)
     encoder.encode_block(records)

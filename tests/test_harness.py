@@ -70,3 +70,62 @@ class TestTracedSystem:
         a.fs.create(a.fs.root, "f", 0.0)
         ca.open("/f")
         assert len(b.collector) == 0
+
+
+class TestMeasurementWindow:
+    """``start_measurement`` windows what the collector keeps, not what
+    it sees: subscribers still get the warm-up."""
+
+    T0 = 10 * 3600.0
+
+    def _run(self, *, subscribe=True):
+        from repro.workloads import CampusEmailWorkload, CampusParams
+
+        system = TracedSystem(
+            seed=3, quota_bytes=50 * 1024 * 1024, mirror_bandwidth=30e6
+        )
+        seen = []
+        if subscribe:
+            system.collector.subscribe(seen.append)
+        system.start_measurement(self.T0)
+        CampusEmailWorkload(CampusParams(users=3)).attach(system)
+        system.run(self.T0 + 3 * 3600.0)
+        return system, seen
+
+    def test_collector_keeps_only_the_window(self, tmp_path):
+        from repro.trace import TraceWriter
+
+        system, seen = self._run()
+        collector = system.collector
+        kept = [r for r in seen if r.time >= self.T0]
+        assert len(kept) < len(seen)  # the subscriber saw the warm-up
+        assert kept
+        assert collector.records == kept
+        assert collector.calls_seen == sum(1 for r in kept if r.is_call())
+        assert collector.replies_seen == sum(1 for r in kept if r.is_reply())
+        # write() is the sort-filter-write loop simulate used to run
+        old = tmp_path / "old.rtb"
+        with TraceWriter(old) as writer:
+            for record in sorted(seen, key=lambda r: r.time):
+                if record.time >= self.T0:
+                    writer.write(record)
+        new = tmp_path / "new.rtb"
+        assert collector.write(new) == len(kept)
+        assert new.read_bytes() == old.read_bytes()
+
+    def test_warm_up_records_are_never_built(self, monkeypatch):
+        from repro.trace import TraceRecord
+
+        built = []
+        for name in ("from_call", "from_reply"):
+            build = getattr(TraceRecord, name)
+
+            def counting(cls, message, _build=build):
+                built.append(message.time)
+                return _build(message)
+
+            monkeypatch.setattr(TraceRecord, name, classmethod(counting))
+        system, _ = self._run(subscribe=False)
+        assert built
+        assert min(built) >= self.T0
+        assert len(built) == len(system.collector)
