@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import zlib
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from repro.analysis.characterize import characterize
@@ -41,12 +42,12 @@ from repro.obs import (
     SpanRecorder,
     list_segments,
     parse_prom_text,
+    partial_segments,
     to_prom_text,
 )
 from repro.report import format_table
 from repro.simcore.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.stream import (
-    LiveMonitor,
     LiveWatch,
     MonitorServer,
     StreamEngine,
@@ -124,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--top", type=int, default=5,
                        help="hot files tracked in each snapshot")
     watch.add_argument("--out", default=None,
-                       help="also write the trace (records then accumulate "
-                            "in memory as with simulate)")
+                       help="also write the trace, streamed to disk as the "
+                            "run goes (the file simulate would write)")
     watch.add_argument("--metrics-out", default=None,
                        help="write the end-of-run metrics snapshot here "
                             "(.prom -> Prometheus text, else JSON)")
@@ -444,15 +445,83 @@ def _close_spans(system) -> int | None:
     return emitted
 
 
-def _span_summary_line(system, emitted, args) -> str | None:
-    """The one-line span report simulate/watch print when sampling."""
-    if system.spans is None:
+def _span_summary_line(emitted, args) -> str | None:
+    """The span report simulate/watch print (None without a recorder)."""
+    if emitted is None:
         return None
     destination = args.spans_out if args.spans_out else "memory (no --spans-out)"
     return (
         f"spans: {emitted} emitted at sample rate "
         f"{args.trace_sample:g} -> {destination}"
     )
+
+
+@contextmanager
+def _trace_out(path):
+    """A :class:`TraceWriter` on ``path``, closed when the block ends;
+    if the block fails, the partial file is removed."""
+    writer = TraceWriter(path)
+    try:
+        yield writer
+    except BaseException:
+        writer.close()
+        Path(path).unlink(missing_ok=True)
+        raise
+    writer.close()
+
+
+def _live_engine(metrics, args, *, spans=None, max_items=None) -> StreamEngine:
+    """The engine watch and monitor feed, with their snapshot analyses."""
+    engine = StreamEngine(metrics=metrics, max_items=max_items, spans=spans)
+    engine.register(StreamSummary())
+    engine.register(StreamRates())
+    engine.register(StreamTopFiles(k=args.top))
+    engine.register(StreamLatency())
+    return engine
+
+
+def _run_live(args, system, workload, engine, *, writer=None, server=None):
+    """Run watch/monitor's world with a :class:`LiveWatch` attached;
+    returns the watch and the engine's results."""
+    system.start_measurement(SECONDS_PER_DAY)
+    end = (1.0 + args.days) * SECONDS_PER_DAY
+    watch = LiveWatch(system, engine, interval=args.interval,
+                      start_time=SECONDS_PER_DAY, writer=writer, server=server)
+    workload.attach(system)
+    watch.start(end)
+    system.run(end)
+    return watch, watch.finish()
+
+
+def _print_live_report(label, watch, results, args) -> None:
+    """The summary and snapshot lines watch and monitor print."""
+    print(_summary_text(f"{label} {args.system} simulation",
+                        results["summary"], results["pairing"]))
+    engine = watch.engine
+    print(
+        f"\n{watch.snapshots_rendered} snapshots rendered "
+        f"({args.interval:g}s interval), {engine.records:,} records "
+        f"streamed, peak state {engine.peak_items:,} items"
+    )
+
+
+def _print_segment_report(writer, span_sink, spans_emitted, args) -> None:
+    """The segment lines both monitor paths end with."""
+    print(
+        f"trace segments: {writer.segments_written} written, "
+        f"{writer.segments_retired} retired, "
+        f"{len(writer.paths)} on disk in {args.dir} "
+        f"({writer.records_written:,} records)"
+    )
+    if span_sink is not None:
+        print(
+            f"span segments: {span_sink.segments_written} written, "
+            f"{span_sink.segments_retired} retired, "
+            f"{len(span_sink.paths)} on disk "
+            f"({spans_emitted} spans at rate {args.trace_sample:g})"
+        )
+    print(f"query with: repro query --dir {args.dir} "
+          f"--trace-id ID | --file FH")
 
 
 def _default_users(args) -> int:
@@ -493,12 +562,10 @@ def _simulate_sharded(args) -> int:
                 faults=args.faults,
                 trace_sample=args.trace_sample,
             )
-        count = 0
-        with timer.phase("merge_write"):
-            with TraceWriter(args.out) as writer:
-                for record in run.merged():
-                    writer.write(record)
-                    count += 1
+        with timer.phase("merge_write"), _trace_out(args.out) as writer:
+            for record in run.merged():
+                writer.write(record)
+        count = writer.records_written
         spans_emitted = None
         if args.spans_out:
             with EventLog(args.spans_out) as span_log:
@@ -532,11 +599,9 @@ def _simulate_sharded(args) -> int:
         f"fan-out: {run.shards} shard(s) over {run.groups} client "
         f"group(s), utilization {util:.0%}"
     )
-    if spans_emitted is not None:
-        destination = (args.spans_out if args.spans_out
-                       else "memory (no --spans-out)")
-        print(f"spans: {spans_emitted} emitted at sample rate "
-              f"{args.trace_sample:g} -> {destination}")
+    span_line = _span_summary_line(spans_emitted, args)
+    if span_line is not None:
+        print(span_line)
     if args.faults is not None:
         spec = FaultSchedule.parse(args.faults).spec()
         injected = sum(run.injected.values())
@@ -553,7 +618,7 @@ def cmd_simulate(args) -> int:
         return _simulate_sharded(args)
     system, workload, params = _build_system(args)
     # one window for the metrics and the capture: the warm-up Sunday
-    # is simulated but neither counted nor retained, so the snapshot
+    # is simulated but neither counted nor captured, so the snapshot
     # agrees with analyses run over the written trace
     system.start_measurement(SECONDS_PER_DAY)
     end = (1.0 + args.days) * SECONDS_PER_DAY
@@ -568,10 +633,14 @@ def cmd_simulate(args) -> int:
     # the simulated week begins on a quiet Sunday; run through it so
     # the requested window starts Monday 00:00 with caches warm
     try:
-        with timer.phase("simulate"):
-            system.run(end)
-        with timer.phase("write_trace"):
-            count = system.collector.write(args.out)
+        with _trace_out(args.out) as writer:
+            system.collector.sinks = [writer.write]
+            with timer.phase("simulate"):
+                system.run(end)
+            with timer.phase("write_trace"):
+                system.collector.flush()
+                writer.close()
+        count = writer.records_written
         _write_metrics(args.metrics_out, system.metrics)
         if event_log is not None:
             event_log.emit("simulate.done", time=system.clock.now,
@@ -590,7 +659,7 @@ def cmd_simulate(args) -> int:
         f"({args.days:g} day(s) from Monday 00:00, {params.users} users, "
         f"mirror loss {drop:.1%})"
     )
-    span_line = _span_summary_line(system, spans_emitted, args)
+    span_line = _span_summary_line(spans_emitted, args)
     if span_line is not None:
         print(span_line)
     if system.faults is not None:
@@ -606,10 +675,11 @@ def cmd_simulate(args) -> int:
 def cmd_watch(args) -> int:
     """Simulate with a live streaming analysis attached.
 
-    The collector stops retaining records unless ``--out`` asks for a
-    trace file, so a watch-only run holds just the engine's bounded
-    state no matter how many simulated days pass.  Snapshots go to
-    stderr (like ``--progress``); the final Table 2 summary to stdout.
+    The collector streams its released capture into the engine (and
+    into the ``--out`` trace file, when asked), so a run holds just the
+    engine's bounded state no matter how many simulated days pass.
+    Snapshots go to stderr (like ``--progress``); the final Table 2
+    summary to stdout.
     """
     if args.shards is not None and args.shards > 1:
         raise ValueError(
@@ -617,39 +687,19 @@ def cmd_watch(args) -> int:
             "cannot shard; use simulate --shards or monitor --shards"
         )
     system, workload, params = _build_system(args)
-    if not args.out:
-        system.collector.retain = False
-    engine = StreamEngine(metrics=system.metrics, spans=system.spans)
-    engine.register(StreamSummary())
-    engine.register(StreamRates())
-    engine.register(StreamTopFiles(k=args.top))
-    engine.register(StreamLatency())
-    system.start_measurement(SECONDS_PER_DAY)
-    end = (1.0 + args.days) * SECONDS_PER_DAY
-    watch = LiveWatch(
-        system, engine, interval=args.interval, start_time=SECONDS_PER_DAY
-    )
-    workload.attach(system)
-    watch.start(end)
+    engine = _live_engine(system.metrics, args, spans=system.spans)
     try:
-        system.run(end)
-        results = watch.finish()
+        with (_trace_out(args.out) if args.out else nullcontext()) as writer:
+            watch, results = _run_live(args, system, workload, engine,
+                                       writer=writer)
     finally:
         spans_emitted = _close_spans(system)
-    summary = results["summary"]
-    stats = results["pairing"]
-    print(_summary_text(f"live {args.system} simulation", summary, stats))
-    print(
-        f"\n{watch.snapshots_rendered} snapshots rendered "
-        f"({args.interval:g}s interval), {engine.records:,} records "
-        f"streamed, peak state {engine.peak_items:,} items"
-    )
-    span_line = _span_summary_line(system, spans_emitted, args)
+    _print_live_report("live", watch, results, args)
+    span_line = _span_summary_line(spans_emitted, args)
     if span_line is not None:
         print(span_line)
-    if args.out:
-        count = system.collector.write(args.out)
-        print(f"wrote {count} records to {args.out}")
+    if writer is not None:
+        print(f"wrote {writer.records_written} records to {args.out}")
     _write_metrics(args.metrics_out, system.metrics)
     return 0
 
@@ -662,9 +712,11 @@ def cmd_monitor(args) -> int:
     budget), sampled spans into rotated ``.jsonl`` segments, and
     ``--serve`` exposes ``/metrics`` (Prometheus text) and ``/spans``
     (live span tail) on a loopback socket.  Memory is bounded: the
-    collector retains nothing, the engine enforces ``--max-items``
-    (a :class:`~repro.errors.StreamMemoryError` stops the run loudly
-    with all segments closed), and the span tail is a fixed deque.
+    collector holds only records the clock has not yet passed and
+    streams the rest to the segments and the engine, the engine
+    enforces ``--max-items`` (a :class:`~repro.errors.StreamMemoryError`
+    stops the run loudly with all segments closed), and the span tail
+    is a fixed deque.
     The segment directory is queryable afterwards with ``repro query``.
     """
     if args.shards is not None:
@@ -684,36 +736,22 @@ def cmd_monitor(args) -> int:
     )
     if span_sink is not None:
         span_sink.bind_metrics(system.metrics)
-    system.collector.retain = False
     writer = RotatingTraceWriter(
         args.dir, policy=policy, metrics=system.metrics
     )
     # the live engine pairs too: with sampling on, its pairer emits
     # verdict spans inline, completing each sampled trace's hop chain
-    engine = StreamEngine(
-        metrics=system.metrics, max_items=args.max_items, spans=system.spans
-    )
-    engine.register(StreamSummary())
-    engine.register(StreamRates())
-    engine.register(StreamTopFiles(k=args.top))
-    engine.register(StreamLatency())
-    system.start_measurement(SECONDS_PER_DAY)
-    end = (1.0 + args.days) * SECONDS_PER_DAY
+    engine = _live_engine(system.metrics, args, spans=system.spans,
+                          max_items=args.max_items)
     server = None
     if args.serve:
         server = MonitorServer(port=args.port)
         server.start()
         print(f"[monitor] serving http://{server.address}/metrics "
               f"/spans /healthz", file=sys.stderr)
-    monitor = LiveMonitor(
-        system, engine, interval=args.interval, start_time=SECONDS_PER_DAY,
-        writer=writer, server=server,
-    )
-    workload.attach(system)
-    monitor.start(end)
     try:
-        system.run(end)
-        results = monitor.finish()
+        watch, results = _run_live(args, system, workload, engine,
+                                   writer=writer, server=server)
     finally:
         # every exit path — including StreamMemoryError from the
         # engine's budget — leaves only closed, scannable segments
@@ -721,29 +759,8 @@ def cmd_monitor(args) -> int:
         spans_emitted = _close_spans(system)
         if server is not None:
             server.close()
-    summary = results["summary"]
-    stats = results["pairing"]
-    print(_summary_text(f"monitored {args.system} simulation", summary, stats))
-    print(
-        f"\n{monitor.snapshots_rendered} snapshots rendered "
-        f"({args.interval:g}s interval), {engine.records:,} records "
-        f"streamed, peak state {engine.peak_items:,} items"
-    )
-    print(
-        f"trace segments: {writer.segments_written} written, "
-        f"{writer.segments_retired} retired, "
-        f"{len(writer.paths)} on disk in {args.dir} "
-        f"({writer.records_written:,} records)"
-    )
-    if span_sink is not None:
-        print(
-            f"span segments: {span_sink.segments_written} written, "
-            f"{span_sink.segments_retired} retired, "
-            f"{len(span_sink.paths)} on disk "
-            f"({spans_emitted} spans at rate {args.trace_sample:g})"
-        )
-    print(f"query with: repro query --dir {args.dir} "
-          f"--trace-id ID | --file FH")
+    _print_live_report("monitored", watch, results, args)
+    _print_segment_report(writer, span_sink, spans_emitted, args)
     return 0
 
 
@@ -781,11 +798,7 @@ def _monitor_sharded(args) -> int:
     span_sink = None
     spans_emitted = 0
     writer = RotatingTraceWriter(args.dir, policy=policy, metrics=metrics)
-    engine = StreamEngine(metrics=metrics, max_items=args.max_items)
-    engine.register(StreamSummary())
-    engine.register(StreamRates())
-    engine.register(StreamTopFiles(k=args.top))
-    engine.register(StreamLatency())
+    engine = _live_engine(metrics, args, max_items=args.max_items)
     try:
         for record in run.merged():
             writer.write(record)
@@ -800,29 +813,14 @@ def _monitor_sharded(args) -> int:
         if span_sink is not None:
             span_sink.close()
     run.publish_metrics(metrics)
-    summary = results["summary"]
-    stats = results["pairing"]
-    print(_summary_text(f"monitored {args.system} simulation", summary, stats))
+    print(_summary_text(f"monitored {args.system} simulation",
+                        results["summary"], results["pairing"]))
     print(
         f"\nsharded run: {run.shards} shard(s) over {run.groups} client "
         f"group(s), {engine.records:,} records streamed post-merge, "
         f"peak state {engine.peak_items:,} items"
     )
-    print(
-        f"trace segments: {writer.segments_written} written, "
-        f"{writer.segments_retired} retired, "
-        f"{len(writer.paths)} on disk in {args.dir} "
-        f"({writer.records_written:,} records)"
-    )
-    if span_sink is not None:
-        print(
-            f"span segments: {span_sink.segments_written} written, "
-            f"{span_sink.segments_retired} retired, "
-            f"{len(span_sink.paths)} on disk "
-            f"({spans_emitted} spans at rate {args.trace_sample:g})"
-        )
-    print(f"query with: repro query --dir {args.dir} "
-          f"--trace-id ID | --file FH")
+    _print_segment_report(writer, span_sink, spans_emitted, args)
     return 0
 
 
@@ -959,10 +957,17 @@ def _query_file(args, directory) -> int:
 
 
 def cmd_query(args) -> int:
-    """Query rotated monitor segments by trace ID or file handle."""
+    """Query rotated monitor segments by trace ID or file handle;
+    open or abandoned (``partial-*``) segments are skipped, on stderr."""
     directory = Path(args.dir)
     if not directory.is_dir():
         raise FileNotFoundError(f"segment directory not found: {args.dir}")
+    skipped = (partial_segments(directory, "trace")
+               + partial_segments(directory, "spans", ".jsonl"))
+    if skipped:
+        names = ", ".join(path.name for path in skipped)
+        print(f"repro: skipped {len(skipped)} incomplete segment(s): "
+              f"{names}", file=sys.stderr)
     if args.trace_id:
         return _query_trace(args, directory)
     return _query_file(args, directory)
@@ -975,23 +980,24 @@ PROGRESS_INTERVAL = SECONDS_PER_HOUR
 def _schedule_progress(system, end: float, event_log=None) -> None:
     """Arrange periodic progress lines on stderr while simulating."""
     loop = system.loop
+    collector = system.collector
 
     def tick() -> None:
         loop.sync_metrics()
         now = loop.clock.now
         wall = loop.wall_seconds
         speed = now / wall if wall > 0 else float("inf")
+        records = collector.calls_seen + collector.replies_seen
         line = (
             f"[repro] sim {now / SECONDS_PER_DAY:6.2f}d  "
             f"events {loop.events_run:>9,}  "
-            f"records {len(system.collector):>9,}  "
+            f"records {records:>9,}  "
             f"wall {wall:7.1f}s  speed {speed:,.0f}x"
         )
         print(line, file=sys.stderr)
         if event_log is not None:
             event_log.emit("progress", time=now, events=loop.events_run,
-                           records=len(system.collector),
-                           wall_seconds=round(wall, 3))
+                           records=records, wall_seconds=round(wall, 3))
         if now + PROGRESS_INTERVAL <= end:
             loop.schedule_in(PROGRESS_INTERVAL, tick)
 

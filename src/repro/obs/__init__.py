@@ -46,6 +46,7 @@ from repro.obs.rotate import (
     RotatingTraceWriter,
     RotationPolicy,
     list_segments,
+    partial_segments,
 )
 from repro.obs.spans import (
     HOPS,
@@ -74,6 +75,7 @@ __all__ = [
     "prom_name",
     "list_segments",
     "log_buckets",
+    "partial_segments",
     "parse_prom_text",
     "paused_gc",
     "sample_decision",

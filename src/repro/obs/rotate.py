@@ -12,7 +12,10 @@ exceeds it).
 Segment names are ``{prefix}-{index:06d}{suffix}`` with a monotonically
 increasing index, so lexical order is rotation order and
 :func:`list_segments` recovers the sequence after the fact — which is
-what ``repro query`` scans.
+what ``repro query`` scans.  The open segment is named ``partial-``
+plus its final name (the suffix, and so the format, stays) until it
+rolls or closes, so a segment a crashed writer left cut never looks
+complete; :func:`partial_segments` lists those.
 """
 
 from __future__ import annotations
@@ -66,9 +69,20 @@ def segment_path(
 def list_segments(
     directory: str | Path, prefix: str, suffix: str = ""
 ) -> list[Path]:
-    """Existing segments for ``prefix``, in rotation (index) order."""
+    """Complete segments for ``prefix``, in rotation (index) order."""
     pattern = f"{prefix}-*{suffix}" if suffix else f"{prefix}-*"
     return sorted(Path(directory).glob(pattern))
+
+
+#: Name prefix of a segment that is still open (or was abandoned open).
+PARTIAL = "partial-"
+
+
+def partial_segments(
+    directory: str | Path, prefix: str, suffix: str = ""
+) -> list[Path]:
+    """Open or abandoned segments for ``prefix``, in index order."""
+    return list_segments(directory, PARTIAL + prefix, suffix)
 
 
 class _RotatingBase:
@@ -115,10 +129,21 @@ class _RotatingBase:
             self._m_retired.inc(self.segments_retired)
 
     def _next_path(self) -> Path:
+        """Start the next segment; returns its partial name."""
         self.index += 1
-        path = segment_path(self.directory, self.prefix, self.index, self.suffix)
+        final = segment_path(self.directory, self.prefix, self.index, self.suffix)
+        path = final.with_name(PARTIAL + final.name)
         self._paths.append(path)
         return path
+
+    def _closed(self) -> None:
+        """The open segment is complete: rename it, apply retention."""
+        path = self._paths[-1]
+        final = path.with_name(path.name[len(PARTIAL):])
+        path.replace(final)
+        self._paths[-1] = final
+        self._segment_start = None
+        self._enforce_retention()
 
     def _opened(self) -> None:
         self.segments_written += 1
@@ -154,10 +179,10 @@ class _RotatingBase:
 class RotatingTraceWriter(_RotatingBase):
     """A :class:`~repro.trace.writer.TraceWriter` that rotates segments.
 
-    Each segment is an ordinary trace file (binary or text by suffix),
-    individually sorted by the writer's 5 s reorder window, so any
-    segment — and any concatenation of consecutive segments — is a
-    valid trace for the analysis tools.
+    Each segment is an ordinary trace file (binary or text by suffix).
+    Fed the collector's released stream, which is in exact wire order,
+    any segment — and any concatenation of consecutive segments — is a
+    valid time-sorted trace for the analysis tools.
     """
 
     def __init__(
@@ -199,8 +224,7 @@ class RotatingTraceWriter(_RotatingBase):
         if self._writer is not None:
             self._writer.close()
             self._writer = None
-            self._segment_start = None
-            self._enforce_retention()
+            self._closed()
 
     def close(self) -> None:
         """Close the writer, flushing the open segment."""
@@ -265,8 +289,7 @@ class RotatingEventLog(_RotatingBase):
             self._handle.close()
             self._handle = None
             self._log = None
-            self._segment_start = None
-            self._enforce_retention()
+            self._closed()
 
     def flush(self) -> None:
         """Flush the open segment, if any."""

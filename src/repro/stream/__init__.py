@@ -16,9 +16,9 @@ Three layers:
 
 :mod:`~repro.stream.live` adds :class:`LiveWatch`, which drives the
 engine from a running simulation and renders periodic snapshots;
-:mod:`~repro.stream.monitor` grows it into :class:`LiveMonitor`, the
-``repro monitor`` daemon — rotating trace/span segments on disk and a
-loopback :class:`MonitorServer` serving ``/metrics`` and ``/spans``.
+:mod:`~repro.stream.monitor` adds the loopback :class:`MonitorServer`
+it publishes ``/metrics`` and ``/spans`` to in the ``repro monitor``
+daemon.
 """
 
 from repro.stream.engine import StreamAnalysis, StreamEngine
@@ -34,7 +34,7 @@ from repro.stream.analyses import (
     StreamTopFiles,
 )
 from repro.stream.live import LiveWatch
-from repro.stream.monitor import LiveMonitor, MonitorServer
+from repro.stream.monitor import MonitorServer
 from repro.stream.operators import (
     ExpDecayRate,
     P2Quantile,
@@ -59,7 +59,6 @@ __all__ = [
     "StreamSummary",
     "StreamTopFiles",
     "LiveWatch",
-    "LiveMonitor",
     "MonitorServer",
     "ExpDecayRate",
     "P2Quantile",

@@ -398,9 +398,12 @@ class StreamLatency(StreamAnalysis):
 
     name = "latency"
 
-    def __init__(self, quantiles: tuple[float, ...] = (0.5, 0.9, 0.99)) -> None:
+    #: the quantiles snapshots and ``analyze --stream`` print
+    QUANTILES = (0.5, 0.99)
+
+    def __init__(self) -> None:
         self.stats = RunningStats()
-        self._estimators = {q: P2Quantile(q) for q in quantiles}
+        self._estimators = {q: P2Quantile(q) for q in self.QUANTILES}
 
     def process_op(self, op: PairedOp) -> None:
         latency = op.reply_time - op.time

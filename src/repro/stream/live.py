@@ -1,13 +1,14 @@
-"""Live observation of a running simulation (``repro watch``).
+"""Live observation of a running simulation (``repro watch``, ``monitor``).
 
-:class:`LiveWatch` subscribes a :class:`~repro.stream.engine.StreamEngine`
-to a :class:`~repro.trace.collector.TraceCollector` tap and schedules
-periodic snapshot renders on the simulation's own event loop, so the
-analyses advance in lock-step with simulated time.  With the collector
-in ``retain=False`` mode nothing accumulates anywhere: the simulation
-can run for arbitrarily many simulated days in bounded memory while
-the watcher narrates totals, decayed load, hot files, and latency
-quantiles as they evolve.
+:class:`LiveWatch` makes a :class:`~repro.stream.engine.StreamEngine`
+(and optionally a trace writer) the sinks of a
+:class:`~repro.trace.collector.TraceCollector`, which releases the
+capture in wire order, and schedules periodic snapshot renders on the
+simulation's own event loop, so the analyses see the written trace's
+record stream in lock-step with simulated time.  Nothing accumulates:
+the simulation can run for arbitrarily many simulated days in bounded
+memory while the watcher narrates totals, decayed load, hot files,
+and latency quantiles as they evolve.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import sys
 from typing import IO
 
+from repro.obs.promtext import to_prom_text
 from repro.simcore.clock import SECONDS_PER_DAY
 from repro.stream.engine import StreamEngine
 
@@ -27,11 +29,15 @@ class LiveWatch:
             ``collector``, ``loop``, and ``clock``).
         engine: the engine whose analyses should see the live records.
         interval: simulated seconds between snapshots.
-        start_time: ignore records (and schedule the first snapshot)
-            before this simulated time — set to the measurement start
-            so the watch agrees with analyses of the written trace.
+        start_time: when the first snapshot interval begins — the
+            measurement start, before which the collector releases
+            nothing.
         stream: where snapshot text goes (default stderr, keeping
             stdout clean for final tables).
+        writer: optional trace writer (anything with ``write(record)``)
+            receiving the same released stream as the engine.
+        server: optional :class:`~repro.stream.monitor.MonitorServer`;
+            every snapshot publishes ``/metrics`` and ``/spans`` to it.
     """
 
     def __init__(
@@ -42,6 +48,8 @@ class LiveWatch:
         interval: float,
         start_time: float = 0.0,
         stream: IO[str] | None = None,
+        writer=None,
+        server=None,
     ) -> None:
         if interval <= 0:
             raise ValueError("watch interval must be positive")
@@ -50,15 +58,15 @@ class LiveWatch:
         self.interval = interval
         self.start_time = start_time
         self.stream = stream if stream is not None else sys.stderr
+        self.server = server
         self.snapshots_rendered = 0
         self._end: float | None = None
         self._rendered_records = 0
         self._m_snapshots = engine.metrics.counter("stream.snapshots")
-        system.collector.subscribe(self._on_record)
-
-    def _on_record(self, record) -> None:
-        if record.time >= self.start_time:
-            self.engine.feed(record)
+        sinks = [engine.feed]
+        if writer is not None:
+            sinks.append(writer.write)
+        system.collector.sinks = sinks
 
     def start(self, end: float) -> None:
         """Schedule snapshot ticks up to simulated time ``end``."""
@@ -74,15 +82,17 @@ class LiveWatch:
             self.system.loop.schedule_in(self.interval, self._tick)
 
     def finish(self) -> dict:
-        """Close the engine; returns its results dict.
+        """Flush the capture and close the engine; returns its results.
 
         Records that arrived after the last scheduled tick still get a
         snapshot: the final partial interval renders here, so a run
         whose end falls between ticks never silently drops its tail.
         """
+        self.system.collector.flush()
         results = self.engine.finish()
         if self.engine.records > self._rendered_records:
             self.render()
+        self.publish()
         return results
 
     # -- rendering -------------------------------------------------------------
@@ -93,6 +103,16 @@ class LiveWatch:
         self._m_snapshots.inc()
         self._rendered_records = self.engine.records
         print(self.render_text(), file=self.stream)
+        self.publish()
+
+    def publish(self) -> None:
+        """Push the current metrics and span tail to the server."""
+        if self.server is None:
+            return
+        self.server.publish("/metrics", to_prom_text(self.system.metrics))
+        spans = getattr(self.system, "spans", None)
+        if spans is not None and spans.tail is not None:
+            self.server.publish("/spans", spans.tail_text())
 
     def render_text(self) -> str:
         """The current snapshot as a small block of text."""

@@ -1,16 +1,16 @@
 """Continuous monitoring daemon (``repro monitor``).
 
 Grows ``repro watch`` into something the paper's operators could have
-left running for months: :class:`LiveMonitor` drives the streaming
-engine exactly like :class:`~repro.stream.live.LiveWatch`, but also
-
-* writes every measured record into a
-  :class:`~repro.obs.rotate.RotatingTraceWriter`, so the capture is a
-  sequence of bounded ``.rtb.gz`` segments under a retention budget
-  instead of one unbounded file;
-* publishes a Prometheus text snapshot and a live span tail to a
-  :class:`MonitorServer` on every snapshot tick, so ``curl
-  localhost:PORT/metrics`` works while the simulation runs.
+left running for months: the same :class:`~repro.stream.live.LiveWatch`
+drives the streaming engine, with a
+:class:`~repro.obs.rotate.RotatingTraceWriter` as its trace writer — the
+capture becomes a sequence of bounded ``.rtb.gz`` segments under a
+retention budget instead of one unbounded file.  Writer and engine are
+sinks of the same released stream, so the segments concatenate to the
+trace ``repro simulate`` writes for the same run, in the same order.
+Every snapshot tick also publishes a Prometheus text snapshot and a
+live span tail to a :class:`MonitorServer`, so ``curl
+localhost:PORT/metrics`` works while the simulation runs.
 
 :class:`MonitorServer` is a stdlib ``http.server`` bound to the
 loopback interface only.  It serves *cached strings* — the simulation
@@ -25,14 +25,8 @@ from __future__ import annotations
 
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import IO
 
-from repro.obs.promtext import to_prom_text
-from repro.obs.rotate import RotatingTraceWriter
-from repro.stream.engine import StreamEngine
-from repro.stream.live import LiveWatch
-
-__all__ = ["LiveMonitor", "MonitorServer"]
+__all__ = ["MonitorServer"]
 
 
 class MonitorServer:
@@ -109,63 +103,3 @@ class MonitorServer:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-class LiveMonitor(LiveWatch):
-    """A :class:`~repro.stream.live.LiveWatch` that also captures and serves.
-
-    Args:
-        system: the :class:`~repro.workloads.TracedSystem` to observe.
-        engine: the streaming engine (same contract as LiveWatch).
-        interval: simulated seconds between snapshot ticks.
-        start_time: measurement start; earlier records are neither
-            analyzed nor written.
-        stream: snapshot text destination (default stderr).
-        writer: optional :class:`~repro.obs.rotate.RotatingTraceWriter`
-            receiving every measured record.
-        server: optional :class:`MonitorServer`; each snapshot tick
-            (and the final one) publishes ``/metrics`` and ``/spans``.
-    """
-
-    def __init__(
-        self,
-        system,
-        engine: StreamEngine,
-        *,
-        interval: float,
-        start_time: float = 0.0,
-        stream: IO[str] | None = None,
-        writer: RotatingTraceWriter | None = None,
-        server: MonitorServer | None = None,
-    ) -> None:
-        super().__init__(
-            system, engine, interval=interval, start_time=start_time,
-            stream=stream,
-        )
-        self.writer = writer
-        self.server = server
-
-    def _on_record(self, record) -> None:
-        if record.time >= self.start_time:
-            self.engine.feed(record)
-            if self.writer is not None:
-                self.writer.write(record)
-
-    def render(self) -> None:
-        """One snapshot: text to the stream, state to the server."""
-        super().render()
-        self.publish()
-
-    def publish(self) -> None:
-        """Push the current metrics and span tail to the server."""
-        if self.server is None:
-            return
-        self.server.publish("/metrics", to_prom_text(self.system.metrics))
-        spans = getattr(self.system, "spans", None)
-        if spans is not None and spans.tail is not None:
-            self.server.publish("/spans", spans.tail_text())
-
-    def finish(self) -> dict:
-        """Close the engine; final state is published even without a tick."""
-        results = super().finish()
-        self.publish()
-        return results

@@ -11,7 +11,8 @@ from the filename.
 
 :class:`~repro.trace.collector.TraceCollector` is the bridge from the
 live simulation to a trace: it is installed as a tap on the network
-path and accumulates records in capture order.
+path and releases records to its sinks in wire order as the event
+loop's clock passes them.
 """
 
 from repro.trace.binfmt import (

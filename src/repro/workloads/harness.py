@@ -3,7 +3,9 @@
 One :class:`TracedSystem` is one complete simulated environment —
 file system, NFS server, network path, optional mirror-port loss,
 trace collector, event loop, and any number of client hosts.  The
-workload generators attach to it, and ``run`` produces a trace.
+workload generators attach to it, and ``run`` produces a trace: the
+collector releases it in wire order behind the event loop's clock (see
+:mod:`repro.trace.collector`), into ``system.collector.sinks``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.simcore.events import EventLoop
 from repro.simcore.rng import RngRegistry
 from repro.trace.collector import TraceCollector
 from repro.trace.record import TraceRecord
+from repro.trace.writer import write_trace
 
 
 class TracedSystem:
@@ -92,7 +95,10 @@ class TracedSystem:
         self.fs = SimFileSystem(fsid=fsid, quota_bytes=quota_bytes)
         self.server = NfsServer(self.fs, metrics=self.metrics, spans=self.spans)
         self.server_addr = server_addr
-        self.collector = TraceCollector(metrics=self.metrics, spans=self.spans)
+        self.loop = EventLoop(metrics=self.metrics)
+        self.collector = TraceCollector(
+            metrics=self.metrics, spans=self.spans, clock=self.loop.clock
+        )
         if faults is not None:
             #: the injector and its ledger; the capture tap sits between
             #: the mirror and the collector so the ledger sees exactly
@@ -120,7 +126,6 @@ class TracedSystem:
             faults=self.faults,
             spans=self.spans,
         )
-        self.loop = EventLoop(metrics=self.metrics)
         self.clients: dict[str, NfsClient] = {}
 
     @classmethod
@@ -190,11 +195,11 @@ class TracedSystem:
 
         Traffic before ``t0`` is still simulated, forwarded, and
         mirrored — only the ``server.*``, ``mirror.*``, and ``trace.*``
-        instruments ignore it, and the collector neither retains nor
-        builds its records (subscribers still receive them).  So the
-        retained capture is the trace windowed at ``t0`` (e.g. skipping
-        a warm-up day), and ``server.calls{proc=...}`` equals the
-        paired per-procedure counts an analysis derives from it.
+        instruments ignore it, and the collector never builds its
+        records.  So the released capture is the trace windowed at
+        ``t0`` (e.g. skipping a warm-up day), and
+        ``server.calls{proc=...}`` equals the paired per-procedure
+        counts an analysis derives from it.
         Client- and loop-level metrics are not windowed.
         """
         self.server.measure_from = t0
@@ -213,9 +218,10 @@ class TracedSystem:
             self.loop.run_until(until)
 
     def records(self) -> list[TraceRecord]:
-        """The captured trace so far, in wire-time order."""
+        """The captured trace, in wire order; flushes the collector, so
+        call it once the run is over."""
         return self.collector.sorted_records()
 
     def write_trace(self, path) -> int:
-        """Write the captured trace to ``path``."""
-        return self.collector.write(path)
+        """Write the captured trace to ``path``; returns the count."""
+        return write_trace(path, self.records())

@@ -22,10 +22,13 @@ every** ``--shards N``:
   ``(client, xid)`` pairing keys never alias across groups, and each
   group's user subset keeps its global uid/login (populations *tile*
   the fleet rather than renumber it).
-* Workers key-sort and binary-encode their records (the ``.rtb``
-  codec), hand them back as shared-memory segments over the
-  ``repro.parallel`` transport, and the parent always merges the
-  group streams in gid order — ties resolve identically no matter
+* Each group world's collector releases its records in
+  :data:`~repro.trace.collector.record_key` order while the world
+  runs, and the worker binary-encodes them as they come (the ``.rtb``
+  codec), so no world keeps or sorts its capture.  The encoded
+  streams go back as shared-memory segments over the
+  ``repro.parallel`` transport, and the parent always merges them by
+  the same key, in gid order — ties resolve identically no matter
   how groups were bucketed.
 
 The FaultLedger exactness argument survives sharding because group
@@ -61,7 +64,7 @@ from repro.parallel import (
 )
 from repro.simcore.clock import SECONDS_PER_DAY
 from repro.trace.binfmt import BinaryTraceDecoder, BinaryTraceEncoder
-from repro.trace.collector import TraceCollector
+from repro.trace.collector import TraceCollector, record_key
 from repro.trace.record import TraceRecord
 from repro.workloads.harness import TracedSystem
 
@@ -190,11 +193,6 @@ class ShardOutcome:
     groups: list[GroupOutcome]
 
 
-def _record_key(record: TraceRecord):
-    """The merge key: wire time, then the pairing key."""
-    return (record.time, record.client, record.xid)
-
-
 def build_group_world(
     system_name: str,
     users: int,
@@ -239,23 +237,21 @@ def _run_group(task: ShardTask, gid: int, *, inline: bool = False) -> GroupOutco
         faults=task.faults,
         trace_sample=task.trace_sample,
     )
+    # The collector releases the measured window in record_key order
+    # (exact-key ties, a duplicate re-captured in the same instant, in
+    # capture order); encode it as it comes, so the parent k-way merges
+    # sorted group streams and no world holds its capture.
+    buffer = io.BytesIO()
+    encoder = BinaryTraceEncoder(buffer, buffered=True)
+    system.collector.sinks = [encoder.encode]
     system.start_measurement(task.start_time)
     workload.attach(system)
     system.run(task.end_time)
-
-    # The collector retained only the measured window, in capture
-    # order.  Key-sort here, in the worker: the parent k-way merges the
-    # group streams instead of sorting the world.  The sort is stable,
-    # so exact-key ties (a duplicate reply re-captured in the same
-    # instant) keep their capture order.
-    records = sorted(system.collector.records, key=_record_key)
-    buffer = io.BytesIO()
-    encoder = BinaryTraceEncoder(buffer, buffered=True)
-    encoder.encode_block(records)
+    system.collector.flush()
     encoder.flush()
     outcome = GroupOutcome(
         gid=gid,
-        records=len(records),
+        records=encoder.records_written,
         wall_seconds=0.0,
         calls_seen=system.collector.calls_seen,
         replies_seen=system.collector.replies_seen,
@@ -336,7 +332,7 @@ class ShardRun:
             iter(BinaryTraceDecoder(io.BytesIO(o.payload)))
             for o in self.outcomes
         ]
-        return heapq.merge(*streams, key=_record_key)
+        return heapq.merge(*streams, key=record_key)
 
     def collect(self, metrics: MetricsRegistry | None = None) -> TraceCollector:
         """The merged stream ingested into a parent-side collector."""

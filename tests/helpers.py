@@ -1,10 +1,29 @@
-"""Shared factories for analysis tests: hand-built paired ops."""
+"""Shared factories for tests: hand-built paired ops and a list tap."""
 
 from __future__ import annotations
 
 from repro.analysis.pairing import PairedOp
 from repro.nfs.messages import NfsStatus
 from repro.nfs.procedures import NfsProc
+from repro.trace.record import TraceRecord
+
+
+class ListTap:
+    """A network-path tap keeping every packet's record, in capture order.
+
+    For tests of what a client puts on the wire, read between
+    operations: a clockless :class:`~repro.trace.TraceCollector`
+    releases nothing before ``flush()``.
+    """
+
+    def __init__(self) -> None:
+        self.records: list[TraceRecord] = []
+
+    def on_call(self, call) -> None:
+        self.records.append(TraceRecord.from_call(call))
+
+    def on_reply(self, reply) -> None:
+        self.records.append(TraceRecord.from_reply(reply))
 
 
 def op(

@@ -410,6 +410,39 @@ class TestMetricsOut:
         err = capsys.readouterr().err
         assert "[repro] sim" in err
         assert "speed" in err
+        # records stream to the file, and progress still counts them
+        last = [line for line in err.splitlines() if "[repro] sim" in line][-1]
+        assert int(last.split("records")[1].split()[0].replace(",", "")) > 0
+
+
+class TestFailedRunLeavesNoTrace:
+    """simulate and watch stream the trace while the run goes; a run
+    that fails mid-way must not leave a partial file that looks done."""
+
+    @pytest.fixture
+    def failing_run(self, monkeypatch):
+        from repro.errors import SimulationError
+        from repro.workloads import TracedSystem
+
+        run = TracedSystem.run
+
+        def fail_late(system, until):
+            run(system, until - 0.05 * 86400.0)  # records already written
+            raise SimulationError("injected failure")
+
+        monkeypatch.setattr(TracedSystem, "run", fail_late)
+
+    @pytest.mark.parametrize("command", ["simulate", "watch"])
+    def test_partial_trace_is_removed(self, command, tmp_path, capsys,
+                                      failing_run):
+        trace = tmp_path / "t.rtb"
+        code = main([
+            command, "--system", "campus", "--days", "0.3", "--users", "2",
+            "--seed", "5", "--out", str(trace),
+        ])
+        assert code == 2
+        assert "injected failure" in capsys.readouterr().err
+        assert not trace.exists()
 
 
 class TestErrors:

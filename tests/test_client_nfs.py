@@ -10,7 +10,7 @@ from repro.netsim import NetworkPath
 from repro.nfs import NfsProc
 from repro.server import NfsServer
 from repro.simcore import SimClock
-from repro.trace import TraceCollector
+from tests.helpers import ListTap
 
 
 @pytest.fixture
@@ -18,7 +18,7 @@ def world():
     """A wired-up single-client world with a trace tap."""
     fs = SimFileSystem(fsid=1)
     server = NfsServer(fs)
-    collector = TraceCollector()
+    collector = ListTap()
     clock = SimClock()
     path = NetworkPath(server, random.Random(1), taps=[collector])
     client = NfsClient(

@@ -21,7 +21,7 @@ from repro.netsim import NetworkPath
 from repro.nfs import NfsProc
 from repro.server import NfsServer
 from repro.simcore import SimClock
-from repro.trace import TraceCollector
+from tests.helpers import ListTap
 
 FILES = ("/a", "/b", "/c")
 #: the file each open stream reads: two streams share ``/a``, so one
@@ -122,14 +122,14 @@ class World:
             node = self.fs.create(self.fs.root, path[1:], 0.0)
             if size:
                 self.fs.write(node.handle, 0, size, 0.0)
-        self.collector = TraceCollector()
+        self.tap = ListTap()
         self.clock = SimClock()
         self.client = client_cls(
             host="10.0.0.1",
             server_addr="10.0.0.100",
             root=self.fs.root,
             exchange=NetworkPath(
-                NfsServer(self.fs), random.Random(1), taps=[self.collector]
+                NfsServer(self.fs), random.Random(1), taps=[self.tap]
             ),
             clock=self.clock,
             rng=random.Random(2),
@@ -244,10 +244,10 @@ _size = st.one_of(
 def test_read_matches_per_block_reference(sizes, cache_blocks, readahead, ops):
     fast = World(NfsClient, sizes, cache_blocks, readahead)
     ref = World(ReferenceClient, sizes, cache_blocks, readahead)
-    assert fast.collector.records == ref.collector.records
+    assert fast.tap.records == ref.tap.records
     for step, op in enumerate(ops):
-        seen = len(ref.collector.records)
+        seen = len(ref.tap.records)
         assert fast.apply(op) == ref.apply(op), (step, op)
-        assert fast.collector.records[seen:] == ref.collector.records[seen:], \
+        assert fast.tap.records[seen:] == ref.tap.records[seen:], \
             (step, op)
         assert fast.state() == ref.state(), (step, op)

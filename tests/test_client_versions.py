@@ -11,13 +11,13 @@ from repro.nfs import NfsProc, NfsVersion
 from repro.nfs.rpc import Transport
 from repro.server import NfsServer
 from repro.simcore import SimClock
-from repro.trace import TraceCollector
+from tests.helpers import ListTap
 
 
 def make_world(version):
     fs = SimFileSystem(fsid=1)
     server = NfsServer(fs)
-    collector = TraceCollector()
+    collector = ListTap()
     clock = SimClock()
     path = NetworkPath(server, random.Random(1), taps=[collector])
     client = NfsClient(
@@ -109,7 +109,7 @@ class TestGatewayHost:
         assert len(workload._gateway_users) >= 1
         gateway_uids = {
             r.uid
-            for r in system.collector.records
+            for r in system.records()
             if r.client == "gateway.eecs" and r.direction == "C" and r.uid
         }
         # multiple distinct users hide behind the same source address
@@ -131,6 +131,6 @@ class TestGatewayHost:
         workload.attach(system)
         system.run(SECONDS_PER_DAY / 2)
         gateway_calls = [
-            r for r in system.collector.records if r.client == "gateway.eecs"
+            r for r in system.records() if r.client == "gateway.eecs"
         ]
         assert gateway_calls == []

@@ -4,7 +4,9 @@ import pytest
 
 from repro.nfs.procedures import NfsVersion
 from repro.nfs.rpc import Transport
+from repro.trace.collector import record_key
 from repro.workloads import TracedSystem
+from tests.helpers import ListTap
 
 
 class TestTracedSystem:
@@ -73,24 +75,25 @@ class TestTracedSystem:
 
 
 class TestMeasurementWindow:
-    """``start_measurement`` windows what the collector keeps, not what
-    it sees: subscribers still get the warm-up."""
+    """``start_measurement`` windows what the collector captures, not
+    what the mirror port sees: a tap beside the collector still gets
+    the warm-up."""
 
     T0 = 10 * 3600.0
 
-    def _run(self, *, subscribe=True):
+    def _run(self, *, tap=True):
         from repro.workloads import CampusEmailWorkload, CampusParams
 
         system = TracedSystem(
             seed=3, quota_bytes=50 * 1024 * 1024, mirror_bandwidth=30e6
         )
-        seen = []
-        if subscribe:
-            system.collector.subscribe(seen.append)
+        seen = ListTap()
+        if tap:
+            system.mirror.add_tap(seen)
         system.start_measurement(self.T0)
         CampusEmailWorkload(CampusParams(users=3)).attach(system)
         system.run(self.T0 + 3 * 3600.0)
-        return system, seen
+        return system, seen.records
 
     def test_collector_keeps_only_the_window(self, tmp_path):
         from repro.trace import TraceWriter
@@ -98,19 +101,19 @@ class TestMeasurementWindow:
         system, seen = self._run()
         collector = system.collector
         kept = [r for r in seen if r.time >= self.T0]
-        assert len(kept) < len(seen)  # the subscriber saw the warm-up
+        assert len(kept) < len(seen)  # the tap saw the warm-up
         assert kept
-        assert collector.records == kept
+        assert system.records() == sorted(kept, key=record_key)
         assert collector.calls_seen == sum(1 for r in kept if r.is_call())
         assert collector.replies_seen == sum(1 for r in kept if r.is_reply())
-        # write() is the sort-filter-write loop simulate used to run
+        # the written trace is what the old sort-filter-write loop wrote
         old = tmp_path / "old.rtb"
         with TraceWriter(old) as writer:
             for record in sorted(seen, key=lambda r: r.time):
                 if record.time >= self.T0:
                     writer.write(record)
         new = tmp_path / "new.rtb"
-        assert collector.write(new) == len(kept)
+        assert system.write_trace(new) == len(kept)
         assert new.read_bytes() == old.read_bytes()
 
     def test_warm_up_records_are_never_built(self, monkeypatch):
@@ -125,7 +128,7 @@ class TestMeasurementWindow:
                 return _build(message)
 
             monkeypatch.setattr(TraceRecord, name, classmethod(counting))
-        system, _ = self._run(subscribe=False)
+        system, _ = self._run(tap=False)
         assert built
         assert min(built) >= self.T0
         assert len(built) == len(system.collector)

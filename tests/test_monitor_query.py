@@ -18,9 +18,11 @@ from repro.cli import main
 from repro.obs.eventlog import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.promtext import escape_label_value, parse_prom_text, to_prom_text
-from repro.obs.rotate import list_segments
+from repro.nfs.procedures import NfsProc
+from repro.obs.rotate import RotatingTraceWriter, list_segments
 from repro.stream import MonitorServer
-from repro.trace.reader import TraceReader
+from repro.trace.reader import TraceReader, read_trace
+from repro.trace.record import Direction, TraceRecord
 
 
 def _run_cli(argv):
@@ -164,6 +166,71 @@ class TestQueryCli:
         ])
         assert code == 2
         assert "error:" in err
+
+
+class TestMonitorOrder:
+    """Monitor segments are the simulate trace, split: the collector
+    releases one wire-ordered stream to both writers.  A fixed 5 s
+    writer window let a faulted eecs capture step back 2.09 s here."""
+
+    ARGS = [
+        "--scenario", "eecs", "--users", "8", "--days", "0.55",
+        "--seed", "1", "--faults",
+        "drop(p=0.01);dup(p=0.01);reorder(p=0.02,ms=20);"
+        "crash(at=122400,down=30)",
+    ]
+
+    def test_segments_concatenate_to_the_simulate_trace(self, tmp_path):
+        directory = tmp_path / "segments"
+        code, _, _ = _run_cli([
+            "monitor", *self.ARGS, "--interval", "86400",
+            "--dir", str(directory),
+        ])
+        assert code == 0
+        simulated = tmp_path / "simulated.rtb"
+        code, _, _ = _run_cli(["simulate", *self.ARGS, "--out", str(simulated)])
+        assert code == 0
+        segments = [
+            record
+            for path in list_segments(directory, "trace")
+            for record in read_trace(path)
+        ]
+        expected = read_trace(simulated)
+        assert expected
+        assert segments == expected
+        times = [record.time for record in segments]
+        assert times == sorted(times)
+
+
+class TestQueryIncompleteSegments:
+    def test_abandoned_segment_is_skipped(self, tmp_path):
+        def record(i):
+            return TraceRecord(
+                time=float(i), direction=Direction.CALL, client="c1",
+                server="s", xid=i, proc=NfsProc.GETATTR, fh="aa",
+            )
+
+        writer = RotatingTraceWriter(tmp_path)
+        try:
+            for i in range(40):
+                writer.write(record(i))
+            writer.roll()
+            for i in range(40, 100):
+                writer.write(record(i))
+            # the monitor dies here: its open segment is left cut short
+            complete, abandoned = writer.paths
+            data = complete.read_bytes()
+            abandoned.write_bytes(data[: len(data) // 2])
+            code, out, err = _run_cli([
+                "query", "--dir", str(tmp_path), "--file", "aa", "--json",
+            ])
+        finally:
+            writer.close()
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["records"] == payload["calls"] == 40
+        assert payload["last_time"] == 39.0
+        assert abandoned.name in err
 
 
 class TestWatchFinalSnapshot:

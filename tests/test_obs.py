@@ -281,7 +281,7 @@ class TestSystemIntegration:
 
         system = self._run()
         tally = Tally(
-            r.proc.value for r in system.collector.records if r.is_call()
+            r.proc.value for r in system.records() if r.is_call()
         )
         for proc, count in tally.items():
             assert system.metrics.value("server.calls", proc=proc) == count
@@ -307,7 +307,7 @@ class TestCollectorOrdering:
     def test_write_emits_wire_timestamp_order(self, tmp_path):
         from repro.nfs.messages import NfsCall
         from repro.nfs.procedures import NfsProc
-        from repro.trace import TraceCollector, read_trace
+        from repro.trace import TraceCollector, read_trace, write_trace
 
         collector = TraceCollector()
         # capture order deliberately out of wire-time order (nfsiod
@@ -317,23 +317,6 @@ class TestCollectorOrdering:
                 time=t, xid=xid, client="c", server="s", proc=NfsProc.GETATTR
             ))
         path = tmp_path / "ordered.trace"
-        assert collector.write(path) == 3
+        assert write_trace(path, collector.sorted_records()) == 3
         times = [r.time for r in read_trace(path)]
         assert times == sorted(times)
-
-    def test_sorted_records_cached_until_next_capture(self):
-        from repro.nfs.messages import NfsCall
-        from repro.nfs.procedures import NfsProc
-        from repro.trace import TraceCollector
-
-        collector = TraceCollector()
-        call = NfsCall(time=1.0, xid=1, client="c", server="s", proc=NfsProc.GETATTR)
-        collector.on_call(call)
-        first = collector.sorted_records()
-        assert collector.sorted_records() is first
-        collector.on_call(NfsCall(
-            time=0.5, xid=2, client="c", server="s", proc=NfsProc.GETATTR
-        ))
-        second = collector.sorted_records()
-        assert second is not first
-        assert [r.time for r in second] == [0.5, 1.0]

@@ -11,6 +11,7 @@ from repro.obs.rotate import (
     RotatingTraceWriter,
     RotationPolicy,
     list_segments,
+    partial_segments,
     segment_path,
 )
 from repro.trace.reader import read_trace
@@ -53,6 +54,37 @@ class TestNaming:
         assert [p.name for p in paths] == [
             "spans-000001.jsonl", "spans-000002.jsonl", "spans-000003.jsonl"
         ]
+
+
+class TestPartialSegments:
+    """An open segment is written under a name list_segments skips."""
+
+    def test_open_trace_segment_is_not_listed(self, tmp_path):
+        writer = RotatingTraceWriter(
+            tmp_path, suffix=".trace",
+            policy=RotationPolicy(max_bytes=256),
+        )
+        for index in range(50):
+            writer.write(_record(float(index), index))
+        *closed, open_segment = writer.paths
+        assert closed
+        assert list_segments(tmp_path, "trace", ".trace") == closed
+        assert partial_segments(tmp_path, "trace", ".trace") == [open_segment]
+        assert open_segment.suffix == ".trace"  # format still by suffix
+        writer.close()
+        assert list_segments(tmp_path, "trace", ".trace") == writer.paths
+        assert partial_segments(tmp_path, "trace", ".trace") == []
+        recovered = [r for path in writer.paths for r in read_trace(path)]
+        assert [r.xid for r in recovered] == list(range(50))
+
+    def test_open_span_segment_is_not_listed(self, tmp_path):
+        log = RotatingEventLog(tmp_path, policy=RotationPolicy())
+        log.emit("span", time=1.0, trace="abc")
+        assert list_segments(tmp_path, "spans", ".jsonl") == []
+        assert partial_segments(tmp_path, "spans", ".jsonl") == log.paths
+        log.close()
+        assert list_segments(tmp_path, "spans", ".jsonl") == log.paths
+        assert partial_segments(tmp_path, "spans", ".jsonl") == []
 
 
 class TestRotatingTraceWriter:

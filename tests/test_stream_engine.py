@@ -147,27 +147,27 @@ class TestMetrics:
 
 
 class TestLiveTap:
-    """The collector tap feeds the engine exactly what a trace would."""
+    """The collector's sinks feed the engine exactly what a trace would."""
 
-    def _simulate(self, *, retain, engine=None):
+    def _simulate(self, *, engine=None):
         from repro.workloads import CampusEmailWorkload, CampusParams, TracedSystem
 
         system = TracedSystem(seed=303, quota_bytes=50 * 1024 * 1024)
-        system.collector.retain = retain
         if engine is not None:
-            system.collector.subscribe(engine.feed)
+            system.collector.sinks = [engine.feed]
         CampusEmailWorkload(CampusParams(users=2)).attach(system)
         system.run(0.2 * SECONDS_PER_DAY)
+        system.collector.flush()
         return system
 
     def test_tap_matches_batch_analysis(self):
         engine = StreamEngine()
         summary = engine.register(StreamSummary())
         tally = engine.register(StreamStats())
-        self._simulate(retain=False, engine=engine)
+        self._simulate(engine=engine)
         results = engine.finish()
 
-        system = self._simulate(retain=True)
+        system = self._simulate()
         records = system.collector.sorted_records()
         assert engine.records == len(records) > 0
         ops, stats = pair_all(records)
@@ -180,8 +180,9 @@ class TestLiveTap:
         end = max(op.time for op in ops) + 1e-6
         assert summary.result() == summarize_trace(ops, start, end)
 
-    def test_retain_false_keeps_no_records(self):
+    def test_streaming_sinks_keep_no_records(self):
         engine = StreamEngine()
-        system = self._simulate(retain=False, engine=engine)
-        assert len(system.collector.records) == 0
+        system = self._simulate(engine=engine)
+        assert len(system.collector) == 0
+        assert system.collector.records == []
         assert engine.records > 0

@@ -180,6 +180,7 @@ class TestCollector:
 
         collector = TraceCollector()
         collector.on_call(sample_call())
-        assert collector.write(tmp_path / "c.trace") == 1
+        records = collector.sorted_records()
+        assert write_trace(tmp_path / "c.trace", records) == 1
         collector.clear()
         assert len(collector) == 0
