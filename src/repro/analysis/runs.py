@@ -23,6 +23,8 @@ from typing import Callable, Iterable
 
 from repro.analysis.pairing import PairedOp
 from repro.fs.blockmap import BLOCK_SIZE
+from repro.nfs.messages import NfsStatus
+from repro.nfs.procedures import NfsProc
 
 #: Gap after which a run is considered closed (paper: "e.g., older
 #: than 30 seconds").
@@ -30,6 +32,8 @@ DEFAULT_IDLE_GAP = 30.0
 
 #: Processed-mode seek tolerance: "seeks of less than 10 8k blocks".
 DEFAULT_JUMP_BLOCKS = 10
+
+_READ, _WRITE, _OK = NfsProc.READ, NfsProc.WRITE, NfsStatus.OK
 
 
 class RunKind(enum.Enum):
@@ -157,17 +161,30 @@ class RunBuilder:
         self._last_size: dict[str, int] = {}
 
     def feed(self, op: PairedOp) -> None:
-        """Consume one paired op (non-data and failed ops ignored)."""
-        if not (op.is_read() or op.is_write()) or not op.ok():
+        """Consume one paired op (non-data and failed ops ignored).
+
+        Each op is classified once, by ``proc`` and ``status`` identity.
+        """
+        proc = op.proc
+        if proc is _READ:
+            is_read = True
+        elif proc is _WRITE:
+            is_read = False
+        else:
             return
-        if op.fh is None or op.offset is None or op.count is None:
+        fh = op.fh
+        offset = op.offset
+        count = op.count
+        if (op.status is not _OK or fh is None or offset is None
+                or count is None or count == 0):
             return
-        if op.count == 0:
-            return
-        file_size = op.post_size if op.post_size is not None else 0
-        if op.is_read():
+        post_size = op.post_size
+        file_size = post_size if post_size is not None else 0
+        last_size = self._last_size
+        prev_size = last_size.get(fh)
+        if is_read:
             hit_eof = bool(op.eof) or (
-                file_size > 0 and op.offset + op.count >= file_size
+                file_size > 0 and offset + count >= file_size
             )
         else:
             # A write "references EOF" when it finishes at the file's
@@ -175,29 +192,22 @@ class RunBuilder:
             # in-place rewrite).  A write that extends the file moves
             # EOF with it — closing runs there would make every
             # sequential new-file write a chain of singletons.
-            prev_size = self._last_size.get(op.fh)
             grew = prev_size is None or file_size > prev_size
             hit_eof = (
-                not grew and file_size > 0 and op.offset + op.count >= file_size
+                not grew and file_size > 0 and offset + count >= file_size
             )
-        self._last_size[op.fh] = max(file_size, self._last_size.get(op.fh, 0))
-        access = Access(
-            time=op.time,
-            offset=op.offset,
-            count=op.count,
-            is_read=op.is_read(),
-            file_size=file_size,
-            hit_eof=hit_eof,
-        )
-        run = self._open.get(op.fh)
-        if run is not None and run.accesses:
+        # the largest size seen: max(file_size, prev_size or 0)
+        known = prev_size if prev_size is not None else 0
+        last_size[fh] = known if known > file_size else file_size
+        access = Access(op.time, offset, count, is_read, file_size, hit_eof)
+        run = self._open.get(fh)
+        if run is not None:  # an open run holds at least one access
             last = run.accesses[-1]
             if last.hit_eof or access.time - last.time > self.idle_gap:
-                self._close(op.fh)
+                self._close(fh)
                 run = None
         if run is None:
-            run = Run(fh=op.fh)
-            self._open[op.fh] = run
+            run = self._open[fh] = Run(fh)
         run.accesses.append(access)
 
     def feed_all(self, ops: Iterable[PairedOp]) -> "RunBuilder":

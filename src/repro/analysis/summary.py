@@ -13,13 +13,16 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.analysis.pairing import PairedOp
+from repro.nfs.messages import NfsStatus
 from repro.nfs.procedures import (
     ATTRIBUTE_CHECK_PROCS,
+    DATA_PROCS,
+    METADATA_PROCS,
     NfsProc,
-    is_data_proc,
-    is_metadata_proc,
 )
 from repro.simcore.clock import SECONDS_PER_DAY
+
+_READ, _WRITE, _OK = NfsProc.READ, NfsProc.WRITE, NfsStatus.OK
 
 
 @dataclass
@@ -103,20 +106,21 @@ class TraceSummary:
         (:class:`repro.stream.analyses.StreamSummary`) accumulate
         through this method, so the two paths cannot drift.
         """
+        proc = op.proc
         self.total_ops += 1
-        self.ops_by_proc[op.proc] += 1
-        if is_metadata_proc(op.proc):
+        self.ops_by_proc[proc] += 1
+        if proc in METADATA_PROCS:
             self.metadata_ops += 1
-        if is_data_proc(op.proc):
+        if proc in DATA_PROCS:
             self.data_ops += 1
-        if op.proc in ATTRIBUTE_CHECK_PROCS:
+        if proc in ATTRIBUTE_CHECK_PROCS:
             self.attribute_check_ops += 1
-        if not op.ok():
+        if op.status is not _OK:
             return
-        if op.proc is NfsProc.READ:
+        if proc is _READ:
             self.read_ops += 1
             self.bytes_read += op.count or 0
-        elif op.proc is NfsProc.WRITE:
+        elif proc is _WRITE:
             self.write_ops += 1
             self.bytes_written += op.count or 0
 

@@ -404,14 +404,15 @@ class StreamLatency(StreamAnalysis):
     def __init__(self) -> None:
         self.stats = RunningStats()
         self._estimators = {q: P2Quantile(q) for q in self.QUANTILES}
+        self._median, self._tail = self._estimators.values()
 
     def process_op(self, op: PairedOp) -> None:
         latency = op.reply_time - op.time
         if latency < 0:
             return
         self.stats.add(latency)
-        for estimator in self._estimators.values():
-            estimator.add(latency)
+        self._median.add(latency)
+        self._tail.add(latency)
 
     def quantile(self, q: float) -> float | None:
         """The tracked ``q`` quantile estimate (None before any data)."""

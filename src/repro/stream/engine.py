@@ -32,6 +32,7 @@ from repro.analysis.pairing import (
     StreamPairer,
 )
 from repro.errors import StreamMemoryError
+from repro.obs.gcpause import paused_gc
 from repro.obs.metrics import MetricsRegistry
 from repro.trace.record import TraceRecord
 
@@ -165,11 +166,19 @@ class StreamEngine:
             self._advance()
 
     def run(self, records: Iterable[TraceRecord]) -> dict[str, Any]:
-        """Feed a whole stream, finish, and return all results."""
+        """Feed a whole stream, finish, and return all results.
+
+        The pass runs with cyclic GC paused (:func:`paused_gc`), the
+        policy ``TracedSystem.run`` applies to live engines: records,
+        ops and runs form no reference cycles, so reference counting
+        frees each as soon as it is consumed, and the collections their
+        allocations trigger would scan them to free nothing.
+        """
         feed = self.feed
-        for record in records:
-            feed(record)
-        return self.finish()
+        with paused_gc():
+            for record in records:
+                feed(record)
+            return self.finish()
 
     def finish(self) -> dict[str, Any]:
         """Close the stream; returns ``{analysis.name: result, ...}``.

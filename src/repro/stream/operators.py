@@ -165,48 +165,101 @@ class P2Quantile:
         self._dn = [0.0, p / 2, p, (1 + p) / 2, 1.0]
 
     def add(self, x: float) -> None:
-        """Observe one value."""
+        """Observe one value.
+
+        The textbook loop over markers 1–3, unrolled over locals: each
+        marker i moves by d = ±1 when its desired position is a step
+        away and its neighbour is not, to the parabolic prediction
+
+            q[i] + d / (n[i+1] - n[i-1]) * (
+                (n[i] - n[i-1] + d) * (q[i+1] - q[i]) / (n[i+1] - n[i])
+                + (n[i+1] - n[i] - d) * (q[i] - q[i-1]) / (n[i] - n[i-1]))
+
+        or, when that leaves (q[i-1], q[i+1]), the linear one
+        ``q[i] + d * (q[i+d] - q[i]) / (n[i+d] - n[i])``.  The float
+        operations and their order are the loop's, so the markers are
+        bit-identical to it.  ``n[0]`` and ``np[0]`` never move.
+        """
         self.count += 1
+        q = self._q
         if self.count <= 5:
-            insort(self._q, x)
+            insort(q, x)
             return
-        q, n = self._q, self._n
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x >= q[4]:
-            q[4] = x
-            k = 3
-        else:
-            k = 0
-            while x >= q[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            n[i] += 1
+        n = self._n
         np_ = self._np
         dn = self._dn
-        for i in range(5):
-            np_[i] += dn[i]
-        for i in (1, 2, 3):
-            d = np_[i] - n[i]
-            if (d >= 1 and n[i + 1] - n[i] > 1) or (d <= -1 and n[i - 1] - n[i] < -1):
-                d = 1 if d > 0 else -1
-                candidate = self._parabolic(i, d)
-                if not q[i - 1] < candidate < q[i + 1]:
-                    candidate = self._linear(i, d)
-                q[i] = candidate
-                n[i] += d
-
-    def _parabolic(self, i: int, d: int) -> float:
-        q, n = self._q, self._n
-        return q[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, d: int) -> float:
-        q, n = self._q, self._n
-        return q[i] + d * (q[i + d] - q[i]) / (n[i + d] - n[i])
+        q0, q1, q2, q3, q4 = q
+        n0, n1, n2, n3, n4 = n
+        # the cell of x: every marker above it moves up one position
+        if x < q0:
+            q[0] = q0 = x
+            n1 += 1
+            n2 += 1
+            n3 += 1
+        elif x >= q4:
+            q[4] = q4 = x
+        elif x >= q1:
+            if x >= q2:
+                if not x >= q3:
+                    n3 += 1
+            else:
+                n2 += 1
+                n3 += 1
+        else:
+            n1 += 1
+            n2 += 1
+            n3 += 1
+        n4 += 1
+        p1 = np_[1] = np_[1] + dn[1]
+        p2 = np_[2] = np_[2] + dn[2]
+        p3 = np_[3] = np_[3] + dn[3]
+        np_[4] += dn[4]
+        d = p1 - n1
+        if (d >= 1 and n2 - n1 > 1) or (d <= -1 and n0 - n1 < -1):
+            d = 1 if d > 0 else -1
+            c = q1 + d / (n2 - n0) * (
+                (n1 - n0 + d) * (q2 - q1) / (n2 - n1)
+                + (n2 - n1 - d) * (q1 - q0) / (n1 - n0)
+            )
+            if not q0 < c < q2:
+                if d > 0:
+                    c = q1 + d * (q2 - q1) / (n2 - n1)
+                else:
+                    c = q1 + d * (q0 - q1) / (n0 - n1)
+            q[1] = q1 = c
+            n1 += d
+        d = p2 - n2
+        if (d >= 1 and n3 - n2 > 1) or (d <= -1 and n1 - n2 < -1):
+            d = 1 if d > 0 else -1
+            c = q2 + d / (n3 - n1) * (
+                (n2 - n1 + d) * (q3 - q2) / (n3 - n2)
+                + (n3 - n2 - d) * (q2 - q1) / (n2 - n1)
+            )
+            if not q1 < c < q3:
+                if d > 0:
+                    c = q2 + d * (q3 - q2) / (n3 - n2)
+                else:
+                    c = q2 + d * (q1 - q2) / (n1 - n2)
+            q[2] = q2 = c
+            n2 += d
+        d = p3 - n3
+        if (d >= 1 and n4 - n3 > 1) or (d <= -1 and n2 - n3 < -1):
+            d = 1 if d > 0 else -1
+            c = q3 + d / (n4 - n2) * (
+                (n3 - n2 + d) * (q4 - q3) / (n4 - n3)
+                + (n4 - n3 - d) * (q3 - q2) / (n3 - n2)
+            )
+            if not q2 < c < q4:
+                if d > 0:
+                    c = q3 + d * (q4 - q3) / (n4 - n3)
+                else:
+                    c = q3 + d * (q2 - q3) / (n2 - n3)
+            q[3] = c
+            n3 += d
+        n[1] = n1
+        n[2] = n2
+        n[3] = n3
+        n[4] = n4
 
     def value(self) -> float | None:
         """The current quantile estimate (None before any data).

@@ -39,6 +39,13 @@ Procedure and status bytes index :data:`_PROCS` / :data:`_STATUSES`
 
 The explicit frame lengths make skipping cheap: a reader that only
 wants record *times* can read each frame header and seek past bodies.
+
+Both directions run generated code built from the field table above.
+The encoder is one unrolled loop (:func:`_compile_block_encoder`); the
+decoder compiles one record builder per presence bitmap
+(:func:`_compile_record_builder`), at most :data:`_MAX_BUILDERS` per
+process, and decodes any further bitmap through the per-field
+:func:`_generic_builder`.
 """
 
 from __future__ import annotations
@@ -46,10 +53,11 @@ from __future__ import annotations
 import gzip
 import io
 import zlib
+from dataclasses import fields as dataclass_fields
 from operator import attrgetter
 from pathlib import Path
 from struct import Struct, error as StructError
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 from repro.errors import TraceFormatError
 from repro.nfs.messages import NfsStatus
@@ -105,6 +113,10 @@ _OPT_FIELDS = tuple(
 
 if len(_OPT_FIELDS) > 16:  # pragma: no cover - compile-time sanity
     raise AssertionError("presence bitmap is u16; _FIELD_CODECS grew past 16")
+# the generated record builders pass the optional fields positionally
+if [f.name for f in dataclass_fields(TraceRecord)[8:]] != list(_FIELD_CODECS):
+    raise AssertionError(  # pragma: no cover
+        "TraceRecord's optional fields left _FIELD_CODECS order")
 
 
 _HEADER_SIZE = len(MAGIC) + _VERSION_STRUCT.size
@@ -195,23 +207,147 @@ def open_binary_for_read(path: str | Path) -> IO[bytes]:
     return open(path, "rb")
 
 
-class _BitmapCodec:
-    """Per-bitmap packer cache: bitmap -> (Struct, present fields)."""
+#: ``build(buf, body, length, strings)``: one record frame's payload
+#: (``length`` bytes at ``buf[body]``) to its record
+_Builder = Callable[[bytes, int, int, list], TraceRecord]
 
-    __slots__ = ("_cache",)
 
-    def __init__(self) -> None:
-        self._cache: dict[int, tuple[Struct, tuple[tuple[str, int], ...]]] = {}
+def _present_fields(bitmap: int) -> tuple[tuple[str, int], ...]:
+    """The (name, kind) of each optional field ``bitmap`` marks present."""
+    return tuple((name, kind) for bit, name, kind in _OPT_FIELDS if bitmap & bit)
 
-    def get(self, bitmap: int) -> tuple[Struct, tuple[tuple[str, int], ...]]:
-        entry = self._cache.get(bitmap)
-        if entry is None:
-            fields = tuple(
-                (name, kind) for bit, name, kind in _OPT_FIELDS if bitmap & bit
-            )
-            fmt = "<" + "".join(_KIND_FMT[kind] for _name, kind in fields)
-            entry = self._cache[bitmap] = (Struct(fmt), fields)
-        return entry
+
+def _generic_builder(bitmap: int) -> _Builder:
+    """The per-field record builder for one presence bitmap.
+
+    It decodes the head, then sets each present field by name.  Its
+    checks run in a fixed order — direction byte, then the head's
+    string, procedure and status indexes, then the body's length
+    against the frame — so a frame that is corrupt in several ways
+    always names the first fault.  Bitmaps past the generated-builder
+    cap decode through it, generated builders fall back to it for a
+    frame shorter than their layout, and tests use it as the reference
+    decoder.
+    """
+    fields = _present_fields(bitmap)
+    body_struct = Struct("<" + "".join(_KIND_FMT[kind] for _name, kind in fields))
+    frame_size = _RECORD_HEAD_SIZE + body_struct.size
+    unpack_head = _RECORD_HEAD.unpack_from
+    unpack_body = body_struct.unpack_from
+
+    def build(buf, body: int, length: int, strings: list[str]) -> TraceRecord:
+        (time, direction_byte, xid, client_id, server_id, proc_index,
+         version, status_byte, _bitmap) = unpack_head(buf, body)
+        if direction_byte == 0:
+            direction = Direction.CALL
+        elif direction_byte == 1:
+            direction = Direction.REPLY
+        else:
+            raise TraceFormatError(f"bad direction byte {direction_byte}")
+        record = TraceRecord(
+            time, direction, xid, strings[client_id], strings[server_id],
+            _PROCS[proc_index], version,
+            None if status_byte == 0 else _STATUSES[status_byte - 1],
+        )
+        if fields:
+            if frame_size > length:
+                raise TraceFormatError("short record frame")
+            values = unpack_body(buf, body + _RECORD_HEAD_SIZE)
+            for (name, kind), value in zip(fields, values):
+                if kind == _STR:
+                    value = strings[value]
+                elif kind == _BOOL:
+                    value = value != 0
+                setattr(record, name, value)
+        return record
+
+    return build
+
+
+def _compile_record_builder(bitmap: int) -> _Builder:
+    """Generate the record builder for one presence bitmap.
+
+    Same contract and result as :func:`_generic_builder`, but the
+    function is generated source (the technique
+    :func:`_compile_block_encoder` uses): one ``Struct`` over head and
+    body, string ids resolved inline, and one positional
+    ``TraceRecord(...)`` call instead of a ``setattr`` per field.  The
+    source is built from :data:`_OPT_FIELDS` alone (no decoded byte
+    reaches it); a frame too short for the layout goes to the generic
+    builder, which raises in the documented order.
+    """
+    fields = _present_fields(bitmap)
+    unpacker = Struct(_RECORD_HEAD.format + "".join(
+        _KIND_FMT[kind] for _name, kind in fields))
+    values = {name: f"v{i}" for i, (name, _kind) in enumerate(fields)}
+    args = []
+    for _bit, name, kind in _OPT_FIELDS:
+        var = values.get(name)
+        if var is None:
+            args.append("None")
+        elif kind == _STR:
+            args.append(f"strings[{var}]")
+        elif kind == _BOOL:
+            args.append(f"{var} != 0")
+        else:
+            args.append(var)
+    while args and args[-1] == "None":
+        args.pop()
+    src = [
+        "def build(buf, body, length, strings):",
+        "    if length < _SIZE:",
+        "        return _generic(buf, body, length, strings)",
+        "    (time, direction_byte, xid, client_id, server_id, proc_index,",
+        "     version, status_byte, _bitmap"
+        + "".join(f", {var}" for var in values.values())
+        + ") = _unpack(buf, body)",
+        "    if direction_byte == 0:",
+        "        direction = _CALL",
+        "    elif direction_byte == 1:",
+        "        direction = _REPLY",
+        "    else:",
+        "        raise TraceFormatError(f'bad direction byte {direction_byte}')",
+        "    return _TraceRecord(",
+        "        time, direction, xid, strings[client_id], strings[server_id],",
+        "        _PROCS[proc_index], version,",
+        "        None if status_byte == 0 else _STATUSES[status_byte - 1],",
+        *(f"        {arg}," for arg in args),
+        "    )",
+    ]
+    namespace = {
+        "_SIZE": unpacker.size,
+        "_unpack": unpacker.unpack_from,
+        "_generic": _generic_builder(bitmap),
+        "_CALL": Direction.CALL,
+        "_REPLY": Direction.REPLY,
+        "_TraceRecord": TraceRecord,
+        "_PROCS": _PROCS,
+        "_STATUSES": _STATUSES,
+        "TraceFormatError": TraceFormatError,
+    }
+    exec("\n".join(src), namespace)  # noqa: S102 - static source built above
+    return namespace["build"]
+
+
+#: At most this many presence bitmaps per process get a generated
+#: builder.  Compiling one costs ~0.35 ms against ~5 µs for a generic
+#: builder (2-core VM, CPython 3.11); real traces use 8–9 bitmaps,
+#: while a hostile file naming all 65,536 would otherwise spend ~23 s
+#: compiling.
+_MAX_BUILDERS = 256
+
+#: bitmap -> generated builder, shared by every decoder in the process.
+_BUILDERS: dict[int, _Builder] = {}
+
+
+def _builder_for(bitmap: int) -> _Builder:
+    """The record builder for ``bitmap``: generated while under the cap."""
+    build = _BUILDERS.get(bitmap)
+    if build is None:
+        if len(_BUILDERS) >= _MAX_BUILDERS:
+            return _generic_builder(bitmap)
+        build = _BUILDERS[bitmap] = _compile_record_builder(bitmap)
+    return build
 
 
 #: One attrgetter pulls every encodable field out of a record in a
@@ -403,6 +539,14 @@ class BinaryTraceDecoder:
     corrupt frame.  Unlike the text reader there is no non-strict
     resync: the frame lengths are load-bearing, so after one corrupt
     frame the rest of the stream is unreadable.
+
+    The frame loop reads each record frame's presence bitmap and hands
+    the frame to that bitmap's builder (:func:`_builder_for`): a
+    generated function that unpacks head and body with one ``Struct``
+    and makes the record in one positional ``TraceRecord(...)`` call.
+    The first :data:`_MAX_BUILDERS` bitmaps a process meets get one;
+    later bitmaps decode through :func:`_generic_builder`, the per-field
+    loop, with identical records and errors.
     """
 
     def __init__(
@@ -422,7 +566,6 @@ class BinaryTraceDecoder:
         else:
             self.bytes_read = 0
         self._strings_seed: tuple[str, ...] = tuple(strings) if strings else ()
-        self._bitmaps = _BitmapCodec()
         self.records_read = 0
 
     def __iter__(self) -> Iterator[TraceRecord]:
@@ -431,16 +574,12 @@ class BinaryTraceDecoder:
         file_read = self._file.read
         frame_head = _FRAME_HEAD
         frame_head_size = frame_head.size
-        record_head = _RECORD_HEAD
         head_size = _RECORD_HEAD_SIZE
-        bitmaps = self._bitmaps.get
+        bitmap_at = head_size - 2  # the head's last field, a u16
+        builders: dict[int, _Builder] = {}  # this pass's bitmaps
+        builder_for = _builder_for
         strings: list[str] = list(self._strings_seed)
         add_string = strings.append
-        procs = _PROCS
-        statuses = _STATUSES
-        record_cls = TraceRecord
-        call_dir = Direction.CALL
-        reply_dir = Direction.REPLY
         chunk_size = 1 << 20
         buf = b""
         pos = 0
@@ -472,50 +611,14 @@ class BinaryTraceDecoder:
                 if tag == _RECORD_TAG:
                     if length < head_size:
                         raise TraceFormatError("short record frame")
+                    at = body + bitmap_at
+                    bitmap = buf[at] | (buf[at + 1] << 8)
                     try:
-                        (
-                            time,
-                            direction_byte,
-                            xid,
-                            client_id,
-                            server_id,
-                            proc_index,
-                            version,
-                            status_byte,
-                            bitmap,
-                        ) = record_head.unpack_from(buf, body)
-                        if direction_byte == 0:
-                            direction = call_dir
-                        elif direction_byte == 1:
-                            direction = reply_dir
-                        else:
-                            raise TraceFormatError(
-                                f"bad direction byte {direction_byte}"
-                            )
-                        # positional: TraceRecord's leading fields are
-                        # (time, direction, xid, client, server, proc,
-                        # version, status) — kwargs cost ~10% of decode
-                        record = record_cls(
-                            time,
-                            direction,
-                            xid,
-                            strings[client_id],
-                            strings[server_id],
-                            procs[proc_index],
-                            version,
-                            None if status_byte == 0 else statuses[status_byte - 1],
-                        )
-                        if bitmap:
-                            unpacker, fields = bitmaps(bitmap)
-                            if head_size + unpacker.size > length:
-                                raise TraceFormatError("short record frame")
-                            values = unpacker.unpack_from(buf, body + head_size)
-                            for (name, kind), value in zip(fields, values):
-                                if kind == _STR:
-                                    value = strings[value]
-                                elif kind == _BOOL:
-                                    value = value != 0
-                                setattr(record, name, value)
+                        build = builders[bitmap]
+                    except KeyError:
+                        build = builders[bitmap] = builder_for(bitmap)
+                    try:
+                        record = build(buf, body, length, strings)
                     except (IndexError, StructError) as exc:
                         raise TraceFormatError(f"corrupt record frame: {exc}") from exc
                     records += 1

@@ -105,6 +105,64 @@ class TestSimulate:
                 assert len(read_trace(out)) >= 1000
 
 
+class TestAnalyzeDigests:
+    """The analysis reports do not move either.
+
+    The stream/batch equivalence tests compare two paths that share the
+    decoder, ``RunBuilder.feed`` and ``TraceSummary.add``, so a change
+    to those moves both sides at once; these digests see it.  The
+    inputs are the two traces ``TestSimulate`` pins, and ``--in`` is
+    relative, so the report titles do not depend on the temp dir.
+    3.11 and 3.12 print the same reports: the traces differ only in the
+    last bits of wire times, below every printed figure.
+    """
+
+    RUNS = {
+        "campus": [
+            "--system", "campus", "--days", "0.5", "--users", "8",
+            "--seed", "5", "--mirror-bandwidth", "30e6",
+        ],
+        "eecs": [
+            "--system", "eecs", "--days", "0.2", "--users", "2",
+            "--seed", "3", "--shards", "2", "--faults",
+            "drop(p=0.01);dup(p=0.01);reorder(p=0.02,ms=20);"
+            "crash(at=90000,down=30)",
+        ],
+    }
+
+    #: sha256 of analyze's stdout, per (trace, mode)
+    PINNED = {
+        ("campus", "--stream"):
+            "f0da9e805e29dbb96b9e5fbfa0a83bef56016666791d3ee571c9bc6287ae9e4f",
+        ("campus", "--jobs"):
+            "907ee47c52f111e76940fbc77db2328ff5955120a5aaef918a7ede6c70d9c466",
+        ("eecs", "--stream"):
+            "605b23c84aede39f88e4e46d1677720dbb4b027b762a6062e2b76bce89974f82",
+        ("eecs", "--jobs"):
+            "68c7a5eea6dcf2e43ed19f24b4ee6974c78a47c7136ccd8c5e038eeb9606d2a9",
+    }
+
+    def test_analyze_output_matches_pinned_digests(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import hashlib
+        import sys
+
+        monkeypatch.chdir(tmp_path)
+        for name, argv in self.RUNS.items():
+            trace = f"{name}.rtb"
+            assert main(["simulate", *argv, "--out", trace]) == 0
+            digest = hashlib.sha256((tmp_path / trace).read_bytes()).hexdigest()
+            assert digest == TestSimulate.PINNED[name][
+                sys.version_info >= (3, 12)], name
+            capsys.readouterr()
+            for mode in (["--stream"], ["--jobs", "1"]):
+                assert main(["analyze", "--in", trace, *mode]) == 0
+                out = capsys.readouterr().out
+                assert (hashlib.sha256(out.encode()).hexdigest()
+                        == self.PINNED[name, mode[0]]), (name, mode)
+
+
 class TestAnonymize:
     def test_anonymize_roundtrip(self, campus_trace, tmp_path, capsys):
         out = tmp_path / "anon.trace.gz"
