@@ -622,11 +622,13 @@ def run_scenario_smoke() -> int:
 def run_shard_smoke(out_path: str | None = None) -> int:
     """CI gate: the sharded simulator must be exact *and* must pay.
 
-    Exactness: the ``.rtb.gz`` file the merged trace is written to,
+    Exactness: the ``.rtb.gz`` file the merged trace is written to
+    (by :meth:`ShardRun.write`, as ``simulate --shards`` writes it),
     the aggregated fault-ledger prediction, and the span stream must
     be byte-identical for ``--shards`` in {1, 2, 4} (see
     docs/PERFORMANCE.md for why the client-group scheme guarantees
-    this).  Performance:
+    this), and ``TraceWriter`` over the decoded ``merged()`` stream
+    must write that file byte for byte.  Performance:
     ``shard_speedup_2`` (1-shard wall over 2-shard wall, best of
     three, warm pool) must clear :data:`SPEEDUP_FLOOR` on runners with
     >= 2 cores and :data:`OVERSUBSCRIBED_FLOOR` otherwise.
@@ -648,8 +650,15 @@ def run_shard_smoke(out_path: str | None = None) -> int:
         )
 
     def trace_bytes(run, path):
-        # the file a user gets: `simulate --shards N` writes the merged
-        # stream through TraceWriter into the gzip container
+        # the file a user gets: `simulate --shards N` writes it with
+        # ShardRun.write, which frame-merges the group payloads into the
+        # gzip container without decoding a record
+        run.write(path)
+        return path.read_bytes()
+
+    def record_path_bytes(run, path):
+        # merged() re-encoded record by record: the stream monitor
+        # --shards and text output read must be the file's
         with TraceWriter(path) as writer:
             for record in run.merged():
                 writer.write(record)
@@ -678,6 +687,10 @@ def run_shard_smoke(out_path: str | None = None) -> int:
             shards: trace_bytes(run, Path(tmp) / f"shards-{shards}.rtb.gz")
             for shards, run in runs.items()
         }
+        reencoded = record_path_bytes(runs[1], Path(tmp) / "records.rtb.gz")
+    if reencoded != files[1]:
+        failures.append("TraceWriter over merged() diverged from the "
+                        "written trace")
     for shards in (2, 4):
         if files[shards] != files[1]:
             failures.append(f"trace bytes diverged at shards={shards}")

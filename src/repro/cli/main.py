@@ -562,10 +562,8 @@ def _simulate_sharded(args) -> int:
                 faults=args.faults,
                 trace_sample=args.trace_sample,
             )
-        with timer.phase("merge_write"), _trace_out(args.out) as writer:
-            for record in run.merged():
-                writer.write(record)
-        count = writer.records_written
+        with timer.phase("merge_write"):
+            count = run.write(args.out)
         spans_emitted = None
         if args.spans_out:
             with EventLog(args.spans_out) as span_log:

@@ -46,6 +46,12 @@ decoder compiles one record builder per presence bitmap
 (:func:`_compile_record_builder`), at most :data:`_MAX_BUILDERS` per
 process, and decodes any further bitmap through the per-field
 :func:`_generic_builder`.
+
+:func:`merge_frames` k-way merges encoded streams (the group worlds of
+``simulate --shards``) into one without building a record: it orders
+record frames by the key in their heads and re-packs each through a
+transcoder generated per bitmap (:func:`_compile_transcoder`) that
+rewrites only its string ids into the output's one table.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ import gzip
 import io
 import zlib
 from dataclasses import fields as dataclass_fields
+from heapq import heapify, heappop, heapreplace
 from operator import attrgetter
 from pathlib import Path
 from struct import Struct, error as StructError
@@ -264,6 +271,35 @@ def _generic_builder(bitmap: int) -> _Builder:
     return build
 
 
+def _builder_fields(opt_fields, bitmap: int) -> tuple[str, list[str], list[str]]:
+    """What a constructor generated for one presence bitmap unpacks and
+    passes, given a ``(bit, name, kind)`` field table in argument order.
+
+    Returns the present fields' ``Struct`` format, one variable name per
+    present field in bit order, and the positional source argument for
+    every field: ``None`` when absent (trailing ones dropped), a string
+    id resolved through ``strings``, a bool byte compared with 0, or
+    the value as unpacked.
+    """
+    fields = [(name, kind) for bit, name, kind in opt_fields if bitmap & bit]
+    values = {name: f"v{i}" for i, (name, _kind) in enumerate(fields)}
+    args = []
+    for _bit, name, kind in opt_fields:
+        var = values.get(name)
+        if var is None:
+            args.append("None")
+        elif kind == _STR:
+            args.append(f"strings[{var}]")
+        elif kind == _BOOL:
+            args.append(f"{var} != 0")
+        else:
+            args.append(var)
+    while args and args[-1] == "None":
+        args.pop()
+    body_format = "".join(_KIND_FMT[kind] for _name, kind in fields)
+    return body_format, list(values.values()), args
+
+
 def _compile_record_builder(bitmap: int) -> _Builder:
     """Generate the record builder for one presence bitmap.
 
@@ -276,30 +312,15 @@ def _compile_record_builder(bitmap: int) -> _Builder:
     reaches it); a frame too short for the layout goes to the generic
     builder, which raises in the documented order.
     """
-    fields = _present_fields(bitmap)
-    unpacker = Struct(_RECORD_HEAD.format + "".join(
-        _KIND_FMT[kind] for _name, kind in fields))
-    values = {name: f"v{i}" for i, (name, _kind) in enumerate(fields)}
-    args = []
-    for _bit, name, kind in _OPT_FIELDS:
-        var = values.get(name)
-        if var is None:
-            args.append("None")
-        elif kind == _STR:
-            args.append(f"strings[{var}]")
-        elif kind == _BOOL:
-            args.append(f"{var} != 0")
-        else:
-            args.append(var)
-    while args and args[-1] == "None":
-        args.pop()
+    body_format, values, args = _builder_fields(_OPT_FIELDS, bitmap)
+    unpacker = Struct(_RECORD_HEAD.format + body_format)
     src = [
         "def build(buf, body, length, strings):",
         "    if length < _SIZE:",
         "        return _generic(buf, body, length, strings)",
         "    (time, direction_byte, xid, client_id, server_id, proc_index,",
         "     version, status_byte, _bitmap"
-        + "".join(f", {var}" for var in values.values())
+        + "".join(f", {var}" for var in values)
         + ") = _unpack(buf, body)",
         "    if direction_byte == 0:",
         "        direction = _CALL",
@@ -348,6 +369,20 @@ def _builder_for(bitmap: int) -> _Builder:
             return _generic_builder(bitmap)
         build = _BUILDERS[bitmap] = _compile_record_builder(bitmap)
     return build
+
+
+def _string_frame(text: str) -> bytes:
+    """The ``S`` frame defining ``text``."""
+    data = text.encode("utf-8")
+    return _FRAME_HEAD.pack(_STRING_TAG, len(data)) + data
+
+
+def _record_packer(bitmap: int) -> tuple[Struct, int]:
+    """The combined frame-head + record-head + body ``Struct`` for one
+    presence bitmap, and the payload length of the frame it packs."""
+    packer = Struct("<BI" + _RECORD_HEAD.format[1:] + "".join(
+        _KIND_FMT[kind] for _name, kind in _present_fields(bitmap)))
+    return packer, packer.size - _FRAME_HEAD.size
 
 
 #: One attrgetter pulls every encodable field out of a record in a
@@ -487,22 +522,13 @@ class BinaryTraceEncoder:
     def _define(self, text: str) -> int:
         """Intern-miss slow path: assign an id and emit the S frame."""
         table = self._strings
-        sid = len(table)
-        table[text] = sid
-        data = text.encode("utf-8")
-        pend = self._pend
-        pend += _FRAME_HEAD.pack(_STRING_TAG, len(data))
-        pend += data
+        sid = table[text] = len(table)
+        self._pend += _string_frame(text)
         return sid
 
     def _make_packer(self, bitmap: int) -> tuple[Struct, int]:
         """Compile the combined frame Struct for one presence bitmap."""
-        body_fmt = "".join(
-            _KIND_FMT[kind] for bit, _name, kind in _OPT_FIELDS if bitmap & bit
-        )
-        packer = Struct("<BIdBQIIBBBH" + body_fmt)
-        entry = (packer, packer.size - _FRAME_HEAD.size)
-        self._packers[bitmap] = entry
+        entry = self._packers[bitmap] = _record_packer(bitmap)
         return entry
 
     def encode(self, record: TraceRecord) -> None:
@@ -637,6 +663,226 @@ class BinaryTraceDecoder:
         finally:
             self.records_read += records
             self.bytes_read += nbytes
+
+
+# ---------------------------------------------------------------------------
+# Frame merge: k-way merge of encoded streams, no record decoded
+
+#: ``transcode(buf, body, length, strings, ids, define, pend)``: append
+#: one record frame (``length`` bytes at ``buf[body]``) to ``pend`` with
+#: its string ids mapped through ``ids`` (``define(local_id)`` fills a
+#: missing entry)
+_Transcoder = Callable[[bytes, int, int, list, list, Callable, bytearray], None]
+
+#: The head's first four fields: the merge key's time, client and xid.
+_KEY_HEAD = Struct("<dBQI")
+
+
+def _compile_transcoder(bitmap: int) -> _Transcoder:
+    """Generate the record-frame transcoder for one presence bitmap.
+
+    It unpacks head and body with one ``Struct``, maps each string id
+    into the output table in the encoder's interning order (optional
+    string fields in bit order, then client, then server) and packs the
+    frame with the encoder's packer for the bitmap, so the frame comes
+    out as :class:`BinaryTraceEncoder` would write the decoded record:
+    ``eof`` as 0 or 1, no bytes past the layout.  A frame the decoder
+    would reject (too short, a bad direction byte, a procedure or status
+    index out of range) goes to :func:`_generic_builder`, which raises
+    the decoder's error.  Like the record builders, the source is built
+    from :data:`_OPT_FIELDS` alone.
+    """
+    fields = _present_fields(bitmap)
+    unpacker = Struct(_RECORD_HEAD.format + "".join(
+        _KIND_FMT[kind] for _name, kind in fields))
+    packer, payload_len = _record_packer(bitmap)
+    values = [f"v{i}" for i in range(len(fields))]
+    # (local id, mapped id) in the encoder's interning order
+    string_ids = []
+    out = []
+    for (_name, kind), var in zip(fields, values):
+        if kind == _STR:
+            string_ids.append((var, f"s{var}"))
+            out.append(f"s{var}")
+        elif kind == _BOOL:
+            out.append(f"{var} != 0")
+        else:
+            out.append(var)
+    string_ids += [("client_id", "client"), ("server_id", "server")]
+    src = [
+        "def transcode(buf, body, length, strings, ids, define, pend):",
+        "    if length < _SIZE:",
+        "        _reject(buf, body, length, strings)",
+        "    (time, direction_byte, xid, client_id, server_id, proc_index,",
+        "     version, status_byte, _bitmap"
+        + "".join(f", {var}" for var in values)
+        + ") = _unpack(buf, body)",
+        "    if direction_byte > 1 or proc_index >= _NPROCS"
+        " or status_byte > _NSTATUSES:",
+        "        _reject(buf, body, length, strings)",
+    ]
+    for local, mapped in string_ids:
+        src += [
+            f"    {mapped} = ids[{local}]",
+            f"    if {mapped} is None:",
+            f"        {mapped} = define({local})",
+        ]
+    src += [
+        "    pend += _pack(",
+        "        _RECORD_TAG, _PAYLOAD_LEN, time, direction_byte, xid, client,",
+        "        server, proc_index, version, status_byte, _BITMAP,",
+        *(f"        {arg}," for arg in out),
+        "    )",
+    ]
+    generic = _generic_builder(bitmap)
+
+    def reject(buf, body, length, strings) -> None:
+        generic(buf, body, length, strings)  # raises for every frame sent here
+        raise TraceFormatError("corrupt record frame")  # pragma: no cover
+
+    namespace = {
+        "_SIZE": unpacker.size,
+        "_unpack": unpacker.unpack_from,
+        "_pack": packer.pack,
+        "_reject": reject,
+        "_RECORD_TAG": _RECORD_TAG,
+        "_PAYLOAD_LEN": payload_len,
+        "_BITMAP": bitmap,
+        "_NPROCS": len(_PROCS),
+        "_NSTATUSES": len(_STATUSES),
+    }
+    exec("\n".join(src), namespace)  # noqa: S102 - static source built above
+    return namespace["transcode"]
+
+
+#: bitmap -> generated transcoder, shared by every merge in the process;
+#: like :data:`_BUILDERS`, at most :data:`_MAX_BUILDERS` are kept (a
+#: merge compiles any further bitmap for itself)
+_TRANSCODERS: dict[int, _Transcoder] = {}
+
+
+def _transcoder_for(bitmap: int) -> _Transcoder:
+    """The transcoder for ``bitmap``, compiled on first use."""
+    transcode = _TRANSCODERS.get(bitmap)
+    if transcode is None:
+        transcode = _compile_transcoder(bitmap)
+        if len(_TRANSCODERS) < _MAX_BUILDERS:
+            _TRANSCODERS[bitmap] = transcode
+    return transcode
+
+
+def _merge_entries(payload, index: int, strings: list[str], ids: list):
+    """Yield one merge-heap entry per record frame of ``payload``.
+
+    An entry is ``(time, client, xid, index, body, length, bitmap)``,
+    so the heap orders frames by ``record_key`` and then by stream
+    index, which is the tie order of ``heapq.merge(*streams,
+    key=record_key)``; two entries of one stream are never on the heap
+    together, so a comparison never gets past ``index``.  String
+    frames append to ``strings`` (the stream's own table) and an
+    unmapped slot to ``ids``.
+    """
+    unpack_frame = _FRAME_HEAD.unpack_from
+    frame_head_size = _FRAME_HEAD.size
+    unpack_key = _KEY_HEAD.unpack_from
+    head_size = _RECORD_HEAD_SIZE
+    bitmap_at = head_size - 2
+    add_string = strings.append
+    add_id = ids.append
+    pos = read_trace_header(io.BytesIO(payload))
+    total = len(payload)
+    try:
+        while pos < total:
+            if total - pos < frame_head_size:
+                raise TraceFormatError("truncated frame header")
+            tag, length = unpack_frame(payload, pos)
+            body = pos + frame_head_size
+            pos = body + length
+            if pos > total:
+                raise TraceFormatError("truncated frame payload")
+            if tag == _RECORD_TAG:
+                if length < head_size:
+                    raise TraceFormatError("short record frame")
+                time, _direction, xid, client_id = unpack_key(payload, body)
+                at = body + bitmap_at
+                yield (time, strings[client_id], xid, index, body, length,
+                       payload[at] | (payload[at + 1] << 8))
+            elif tag == _STRING_TAG:
+                add_string(payload[body:pos].decode("utf-8"))
+                add_id(None)
+            else:
+                raise TraceFormatError(f"unknown frame tag 0x{tag:02x}")
+    except IndexError as exc:
+        raise TraceFormatError(f"corrupt record frame: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError("corrupt string frame") from exc
+
+
+def merge_frames(payloads) -> Iterator[bytes]:
+    """K-way merge encoded record streams into one ``.rtb`` stream.
+
+    ``payloads`` are complete ``.rtb`` streams (header included), each
+    in :data:`~repro.trace.collector.record_key` order, such as the
+    group worlds of a sharded run hand back.  The merged stream comes
+    out in blocks of about :data:`_FLUSH_BYTES`, the first opening with
+    the header, and their concatenation is byte for byte what a
+    :class:`BinaryTraceEncoder` writes for ``heapq.merge(*decoders,
+    key=record_key)`` over the same streams: frames leave in key order,
+    exact-key ties in stream order within a stream and in ``payloads``
+    order across streams, and each record frame is re-packed by its
+    bitmap's transcoder (:func:`_compile_transcoder`) with its string
+    ids rewritten into one output table, so a string two streams share
+    is defined once, before its first use.  No :class:`TraceRecord` is
+    built.
+
+    A corrupt payload raises :class:`~repro.errors.TraceFormatError`
+    after the blocks merged before it.
+    """
+    table: dict[str, int] = {}
+    pend = bytearray(MAGIC + _VERSION_STRUCT.pack(FORMAT_VERSION))
+    flush_bytes = _FLUSH_BYTES
+    streams = []
+    heap = []
+    for index, payload in enumerate(payloads):
+        strings: list[str] = []
+        ids: list[int | None] = []
+
+        def define(local, strings=strings, ids=ids) -> int:
+            text = strings[local]
+            sid = table.get(text)
+            if sid is None:
+                sid = table[text] = len(table)
+                pend.extend(_string_frame(text))
+            ids[local] = sid
+            return sid
+
+        entries = _merge_entries(payload, index, strings, ids)
+        streams.append((payload, strings, ids, define, entries.__next__))
+        first = next(entries, None)
+        if first is not None:
+            heap.append(first)
+    heapify(heap)
+    transcoders: dict[int, _Transcoder] = {}
+    try:
+        while heap:
+            _time, _client, _xid, index, body, length, bitmap = heap[0]
+            payload, strings, ids, define, advance = streams[index]
+            try:
+                transcode = transcoders[bitmap]
+            except KeyError:
+                transcode = transcoders[bitmap] = _transcoder_for(bitmap)
+            transcode(payload, body, length, strings, ids, define, pend)
+            if len(pend) >= flush_bytes:
+                yield bytes(pend)
+                pend.clear()
+            try:
+                heapreplace(heap, advance())
+            except StopIteration:
+                heappop(heap)
+    except (IndexError, StructError) as exc:
+        raise TraceFormatError(f"corrupt record frame: {exc}") from exc
+    if pend:
+        yield bytes(pend)
 
 
 def read_binary_trace(path: str | Path) -> list[TraceRecord]:

@@ -29,7 +29,9 @@ every** ``--shards N``:
   streams go back as shared-memory segments over the
   ``repro.parallel`` transport, and the parent always merges them by
   the same key, in gid order — ties resolve identically no matter
-  how groups were bucketed.
+  how groups were bucketed.  The merge works on the encoded frames
+  (:func:`repro.trace.binfmt.merge_frames`): no record is decoded or
+  re-encoded on the way to a binary trace file.
 
 The FaultLedger exactness argument survives sharding because group
 worlds are shared-nothing: each group's ledger predicts its own
@@ -39,14 +41,14 @@ so the per-group stats *sum* to the merged trace's stats exactly.
 
 from __future__ import annotations
 
-import heapq
 import io
 import json
 import shutil
 import tempfile
 import time as _time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from pathlib import Path
+from typing import Iterator
 
 from repro.faults import FaultSchedule
 from repro.faults.ledger import aggregate_stats
@@ -63,9 +65,16 @@ from repro.parallel import (
     sweep_segments,
 )
 from repro.simcore.clock import SECONDS_PER_DAY
-from repro.trace.binfmt import BinaryTraceDecoder, BinaryTraceEncoder
-from repro.trace.collector import TraceCollector, record_key
+from repro.trace.binfmt import (
+    BinaryTraceDecoder,
+    BinaryTraceEncoder,
+    is_binary_trace_path,
+    merge_frames,
+    open_binary_for_write,
+)
+from repro.trace.collector import TraceCollector
 from repro.trace.record import TraceRecord
+from repro.trace.writer import TraceWriter
 from repro.workloads.harness import TracedSystem
 
 #: Default client-group count.  Fixed independently of ``--shards`` —
@@ -299,6 +308,26 @@ def _run_shard_task(task: ShardTask) -> ShardOutcome:
 # Parent side
 
 
+class _BlockReader:
+    """A readable file over an iterator of byte blocks: ``read(n)``
+    returns ``n`` bytes until the blocks run out, as
+    :class:`BinaryTraceDecoder` expects of a file."""
+
+    def __init__(self, blocks: Iterator[bytes]) -> None:
+        self._blocks = blocks
+        self._pending = b""
+
+    def read(self, size: int) -> bytes:
+        pending = self._pending
+        while len(pending) < size:
+            block = next(self._blocks, None)
+            if block is None:
+                break
+            pending += block
+        self._pending = pending[size:]
+        return pending[:size]
+
+
 @dataclass
 class ShardRun:
     """A completed sharded simulation, ready to merge and report."""
@@ -320,19 +349,51 @@ class ShardRun:
         """Records in the merged (measurement-window) trace."""
         return sum(o.records for o in self.outcomes)
 
-    def merged(self) -> Iterator[TraceRecord]:
-        """The single collector stream: a streaming k-way merge of the
-        per-group record streams by ``(wire_time, client, xid)``.
+    def _merged_blocks(self) -> Iterator[bytes]:
+        """The frame merge of the group payloads: one ``.rtb`` stream in
+        ``(wire_time, client, xid)`` order, in blocks.
 
-        Streams are consumed in gid order — the tie-break is therefore
-        a pure function of the groups, not of the shard bucketing, and
-        the merged order is identical for every shard count.
+        Payloads go in gid order, so an exact-key tie breaks by gid — a
+        pure function of the groups, not of the shard bucketing — and
+        the merged bytes are identical for every shard count.
         """
-        streams = [
-            iter(BinaryTraceDecoder(io.BytesIO(o.payload)))
-            for o in self.outcomes
-        ]
-        return heapq.merge(*streams, key=record_key)
+        return merge_frames([o.payload for o in self.outcomes])
+
+    def write(self, path: str | Path) -> int:
+        """Write the merged trace to ``path``; returns the record count.
+
+        A binary path (``.rtb``/``.rtb.gz``) gets the frame merge's
+        blocks as they come, with no record decoded; a text path gets
+        the decoded :meth:`merged` stream through :class:`TraceWriter`.
+        If the write fails, the partial file is removed.
+        """
+        path = Path(path)
+        try:
+            if is_binary_trace_path(path):
+                fileobj = open_binary_for_write(path)
+                try:
+                    for block in self._merged_blocks():
+                        fileobj.write(block)
+                finally:
+                    fileobj.close()
+                return self.record_count
+            with TraceWriter(path) as writer:
+                for record in self.merged():
+                    writer.write(record)
+            return writer.records_written
+        except BaseException:
+            path.unlink(missing_ok=True)
+            raise
+
+    def merged(self) -> Iterator[TraceRecord]:
+        """The single collector stream: the frame merge, decoded.
+
+        These are the records :meth:`write` puts in a binary file, in
+        its order, so ``monitor --shards`` and text output read the
+        same stream the binary file holds.  Blocks are decoded as the
+        merge yields them.
+        """
+        yield from BinaryTraceDecoder(_BlockReader(self._merged_blocks()))
 
     def collect(self, metrics: MetricsRegistry | None = None) -> TraceCollector:
         """The merged stream ingested into a parent-side collector."""

@@ -105,6 +105,88 @@ class TestSimulate:
                 assert len(read_trace(out)) >= 1000
 
 
+class TestShardedOutput:
+    """``simulate --shards`` writes its trace through one merge, and
+    ``monitor --shards`` reads the stream that merge writes."""
+
+    ARGS = [
+        "--system", "eecs", "--days", "0.1", "--users", "3", "--seed", "4",
+        "--faults", "drop(p=0.01);dup(p=0.01);reorder(p=0.02,ms=20)",
+    ]
+
+    def test_every_format_holds_the_one_shard_records(self, tmp_path, capsys):
+        from repro.trace import read_trace
+        from repro.trace.record import record_to_line
+
+        outputs = {}
+        reports = []
+        for shards in (1, 2):
+            for suffix in (".rtb", ".rtb.gz", ".trace"):
+                out = tmp_path / f"shards-{shards}{suffix}"
+                assert main(["simulate", *self.ARGS, "--shards", str(shards),
+                             "--out", str(out)]) == 0
+                outputs[shards, suffix] = out
+                reports.append(capsys.readouterr().out)
+        expected = read_trace(outputs[1, ".rtb"])
+        assert len(expected) > 100
+        assert all(f"wrote {len(expected)} records" in r for r in reports)
+        for suffix in (".rtb", ".rtb.gz", ".trace"):
+            one, two = outputs[1, suffix], outputs[2, suffix]
+            assert one.read_bytes() == two.read_bytes(), suffix
+        assert read_trace(outputs[2, ".rtb.gz"]) == expected
+        # the text format keeps wire times to the microsecond
+        assert outputs[2, ".trace"].read_text() == "".join(
+            record_to_line(record) + "\n" for record in expected)
+
+    @pytest.mark.parametrize("suffix", [".rtb", ".rtb.gz", ".trace"])
+    def test_failed_merge_leaves_no_file(self, suffix, tmp_path, monkeypatch,
+                                         capsys):
+        from itertools import islice
+
+        from repro.errors import TraceFormatError
+        from repro.workloads import sharding
+
+        merge_frames = sharding.merge_frames
+        merged = sharding.ShardRun.merged
+
+        def fail_mid_merge(payloads):
+            yield from merge_frames(payloads[:1])  # bytes reach the file
+            raise TraceFormatError("injected merge failure")
+
+        def fail_mid_stream(run):
+            yield from islice(merged(run), 1000)
+            raise TraceFormatError("injected merge failure")
+
+        if suffix == ".trace":
+            monkeypatch.setattr(sharding.ShardRun, "merged", fail_mid_stream)
+        else:
+            monkeypatch.setattr(sharding, "merge_frames", fail_mid_merge)
+        out = tmp_path / f"t{suffix}"
+        code = main(["simulate", *self.ARGS, "--shards", "2",
+                     "--out", str(out)])
+        assert code == 2
+        assert "injected merge failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_monitor_segments_are_the_simulate_trace(self, tmp_path):
+        from repro.obs.rotate import list_segments
+        from repro.trace import read_trace
+
+        directory = tmp_path / "segments"
+        assert main(["monitor", *self.ARGS, "--shards", "2",
+                     "--interval", "86400", "--segment-bytes", "65536",
+                     "--dir", str(directory)]) == 0
+        simulated = tmp_path / "simulated.rtb.gz"
+        assert main(["simulate", *self.ARGS, "--shards", "2",
+                     "--out", str(simulated)]) == 0
+        paths = list_segments(directory, "trace")
+        assert len(paths) > 1
+        segments = [record for path in paths for record in read_trace(path)]
+        expected = read_trace(simulated)
+        assert expected
+        assert segments == expected
+
+
 class TestAnalyzeDigests:
     """The analysis reports do not move either.
 
