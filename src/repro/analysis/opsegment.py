@@ -1,16 +1,16 @@
 """Paired-operation segments: worker -> parent hand-back for the fan-out.
 
-``repro.analysis.parallel`` used to return each chunk's paired ops
-through ``Pool.map``, which pickles and unpickles hundreds of
-thousands of :class:`~repro.analysis.pairing.PairedOp` objects in the
-*parent* — serial work that grew with the trace and erased the
-workers' gains.  Instead, workers now serialize their (key-sorted)
-ops into a compact binary *segment* using the same framing discipline
-as the ``.rtb`` container (string-table interning, tagged
-length-prefixed frames), publish the bytes out-of-band — POSIX shared
-memory via :mod:`multiprocessing.shared_memory`, or a spooled temp
-file — and return only a tiny stats struct plus a segment handle.
-The parent claims each segment and merge-decodes lazily.
+Returning each chunk's paired ops through the pool's result pipe
+pickles and unpickles hundreds of thousands of
+:class:`~repro.analysis.pairing.PairedOp` objects in the *parent* —
+serial work that grows with the trace and erased the workers' gains.
+Instead, workers serialize their (key-sorted) ops into a compact
+binary *segment* using the same framing discipline as the ``.rtb``
+container (string-table interning, tagged length-prefixed frames),
+write it to a file in the run's temp directory
+(:func:`repro.parallel.publish_segment`) and return only a tiny stats
+struct plus its path.  The parent reads each segment back and
+merge-decodes lazily.
 
 Segment layout (all integers little-endian)::
 
@@ -266,18 +266,3 @@ def decode_ops(payload: bytes):
     except (IndexError, StructError, UnicodeDecodeError) as exc:
         raise TraceFormatError(f"corrupt op segment: {exc}") from exc
 
-
-# ---------------------------------------------------------------------------
-# Segment transport: shared with the simulation fan-out (repro.parallel).
-# Re-exported here because this is where the analysis fan-out historically
-# found them; both fan-outs now run over the exact same plumbing.
-
-from repro.parallel import (  # noqa: E402,F401  (re-export)
-    _shared_memory_module,
-    _untrack,
-    claim_segment,
-    default_transport,
-    publish_segment,
-    segment_name,
-    sweep_segments,
-)

@@ -19,20 +19,23 @@ because that is what Amdahl charges for:
   path plus a byte range, and each worker seeks and decodes its own
   slice.  Gzipped inputs are decompressed once into a spooled copy so
   workers seek raw bytes instead of each re-inflating the prefix.
-* Workers never *return* op objects either.  ``Pool.map`` used to
-  pickle every :class:`~repro.analysis.pairing.PairedOp` back through
-  the result queue, and the parent-side unpickle cost more than the
-  pairing saved (speedup_N < 1).  Each worker now key-sorts its ops,
-  serializes them into a binary segment
-  (:mod:`repro.analysis.opsegment`: shared memory, or spooled files),
-  and returns a small stats struct plus a handle; the parent does one
+* Workers never *return* op objects either.  Pickling every
+  :class:`~repro.analysis.pairing.PairedOp` back through the pool's
+  result pipe cost the parent more than the pairing saved
+  (speedup_N < 1).  Each worker key-sorts its ops, serializes them into
+  a binary segment (:mod:`repro.analysis.opsegment`), writes it to a
+  file named by its chunk index in the run's temp directory, and
+  returns a small stats struct plus the path; the parent does one
   streaming k-way merge-decode by the ``(time, client, xid)`` key.
 * The binary string table is written once to a side file that workers
   read directly, instead of pickling a per-chunk snapshot of the whole
   table into every :class:`ChunkSpec`.
 * Pools are kept warm in a per-size cache and reused by later
   ``parallel_pair`` calls, so repeated analyses don't pay fork+spawn
-  per call.
+  per call.  A worker that dies mid-run ends the call with
+  :class:`~repro.errors.WorkerDiedError` instead of hanging it, and
+  the temp directory is removed after the pool's workers are reaped
+  (:func:`repro.parallel.run_tasks`).
 
 The paired operation list is built once and reused by every analysis
 (summary, runs, characterization) instead of re-pairing per analysis —
@@ -69,14 +72,7 @@ from repro.trace.binfmt import (
     read_trace_header,
 )
 from repro.trace.record import Direction, TraceRecord, record_from_line
-from repro.analysis.opsegment import (
-    claim_segment,
-    decode_ops,
-    default_transport,
-    encode_ops,
-    publish_segment,
-    sweep_segments,
-)
+from repro.analysis.opsegment import decode_ops, encode_ops
 from repro.analysis.pairing import (
     PairedOp,
     PairingStats,
@@ -143,9 +139,8 @@ class PairedChunk:
     #: the chunk pairer's buffered verdict spans (sampled ops only)
     spans: list
     wall_seconds: float = 0.0
-    #: pool mode: ops travel as a published segment, not in ``ops``
-    segment: tuple[str, str, int] | None = None
-    op_count: int = 0
+    #: pool mode: ops travel as a segment file (its path), not in ``ops``
+    segment: str | None = None
 
     @property
     def calls(self) -> int:
@@ -460,21 +455,8 @@ def decode_chunk(spec: ChunkSpec) -> list[TraceRecord]:
     return records
 
 
-# ---------------------------------------------------------------------------
-# Pool management: the shared (purpose, size)-keyed registry in
-# repro.parallel, under the "analysis" purpose.  Warm pools are reused
-# across parallel_pair calls; the registry owns the atexit teardown.
-
+#: Pool purpose key in the shared ``repro.parallel`` registry.
 _POOL_PURPOSE = "analysis"
-
-
-def _get_pool(processes: int):
-    """A warm pool of exactly ``processes`` analysis workers."""
-    return repro_parallel.get_pool(_POOL_PURPOSE, processes)
-
-
-def _discard_pool(processes: int) -> None:
-    repro_parallel.discard_pool(_POOL_PURPOSE, processes)
 
 
 def pair_chunk(spec: ChunkSpec, sample: float = 0.0) -> PairedChunk:
@@ -490,14 +472,9 @@ def pair_chunk(spec: ChunkSpec, sample: float = 0.0) -> PairedChunk:
 
 
 def _pair_chunk_segment(
-    item: tuple[int, ChunkSpec],
-    *,
-    token: str,
-    sample: float,
-    transport: str,
-    workdir: str,
+    item: tuple[int, ChunkSpec], *, sample: float, workdir: str
 ) -> PairedChunk:
-    """Pool-side chunk task: pair, then publish ops as a segment.
+    """Pool-side chunk task: pair, then publish ops as a segment file.
 
     The ops are key-sorted *here*, in the worker, so the parent can
     k-way merge the per-chunk streams instead of sorting the world.
@@ -509,9 +486,10 @@ def _pair_chunk_segment(
         ops = partial.ops
         ops.sort(key=call_order_key)
         payload = encode_ops(ops)
-    partial.op_count = len(ops)
     partial.ops = []
-    partial.segment = publish_segment(payload, token, index, transport, workdir)
+    partial.segment = repro_parallel.publish_segment(
+        workdir, f"{index}.ops", payload
+    )
     partial.wall_seconds = _time.perf_counter() - started
     return partial
 
@@ -590,26 +568,19 @@ def _map_chunks(
     jobs: int,
     sample: float,
     workdir: str,
-) -> tuple[list[PairedChunk], str]:
-    """Fan chunks over a warm pool; ops come back as segments."""
+) -> tuple[list[PairedChunk], int]:
+    """Fan chunks over a warm pool; ops come back as segment files.
+
+    Returns the chunk results and the pool size they ran on.
+    """
     processes = min(jobs, len(specs))
-    token = repro_parallel.run_token()
     pair = functools.partial(
-        _pair_chunk_segment,
-        token=token,
-        sample=sample,
-        transport=default_transport(),
-        workdir=workdir,
+        _pair_chunk_segment, sample=sample, workdir=workdir
     )
-    pool = _get_pool(processes)
-    try:
-        partials = pool.map(pair, list(enumerate(specs)))
-    except Exception:
-        # a broken pool (killed worker, corrupt chunk) is not reusable
-        # state worth keeping; published segments are swept by caller
-        _discard_pool(processes)
-        raise
-    return partials, token
+    partials = repro_parallel.run_tasks(
+        _POOL_PURPOSE, processes, pair, list(enumerate(specs))
+    )
+    return partials, processes
 
 
 def parallel_pair(
@@ -638,13 +609,18 @@ def parallel_pair(
     chunk and join the merge's own; the recorder's canonical close
     order makes the exported span stream byte-identical to the serial
     and streaming pairers'.
+
+    ``jobs`` below 1 raises :class:`ValueError`.  A pool worker that
+    dies raises :class:`~repro.errors.WorkerDiedError`.
     """
+    if jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {jobs}")
     started = _time.perf_counter()
     sample = spans.sample if spans is not None else 0.0
     path = str(path)
     workdir: str | None = None
-    token: str | None = None
     specs: list[ChunkSpec] = []
+    pool_size = 1
     try:
         if jobs > 1 or path.endswith(".gz"):
             workdir = tempfile.mkdtemp(prefix="repro-pair-")
@@ -655,7 +631,7 @@ def parallel_pair(
         fanout = jobs > 1 and len(specs) > 1
         if fanout:
             with paused_gc():
-                partials, token = _map_chunks(
+                partials, pool_size = _map_chunks(
                     specs, jobs=jobs, sample=sample, workdir=workdir
                 )
         else:
@@ -668,7 +644,8 @@ def parallel_pair(
                 # equal keys resolve (chunk order, then boundary) exactly
                 # as the stable concat-sort below resolves them.
                 streams = [
-                    decode_ops(claim_segment(p.segment)) for p in partials
+                    decode_ops(repro_parallel.claim_segment(p.segment))
+                    for p in partials
                 ]
                 if boundary_ops:
                     boundary_ops.sort(key=call_order_key)
@@ -683,15 +660,12 @@ def parallel_pair(
                     ops.extend(boundary_ops)
                     ops.sort(key=call_order_key)
     finally:
-        if token is not None:
-            sweep_segments(token, len(specs))
         if workdir is not None:
             shutil.rmtree(workdir, ignore_errors=True)
 
     if metrics is not None:
         wall = _time.perf_counter() - started
         busy = sum(p.wall_seconds for p in partials)
-        pool_size = min(jobs, len(specs)) if jobs > 1 else 1
         metrics.gauge("analysis.pool.jobs").set(pool_size)
         metrics.gauge("analysis.pool.chunks").set(len(specs))
         metrics.gauge("analysis.pool.utilization").set(

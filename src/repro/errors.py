@@ -99,6 +99,15 @@ class StreamMemoryError(AnalysisError):
     """A streaming operator exceeded its configured memory budget."""
 
 
+class WorkerDiedError(ReproError):
+    """A fan-out worker process died before its task finished.
+
+    Raised by :func:`repro.parallel.run_tasks` when the process pool
+    reports a broken worker (killed by a signal or the OOM killer); the
+    run is abandoned, not retried.
+    """
+
+
 class WorkloadConfigError(ReproError):
     """A workload generator was configured with invalid parameters."""
 

@@ -1,38 +1,44 @@
-"""Shared multiprocessing plumbing for the fan-outs.
+"""Shared process-pool plumbing for the fan-outs.
 
 Two subsystems fan work over worker processes: the analysis pairing
-fan-out (``repro.analysis.parallel``, PR 7) and the sharded simulation
-engine (``repro.workloads.sharding``).  Both need the same two pieces
+fan-out (``repro.analysis.parallel``, ``analyze --jobs``) and the
+sharded simulation engine (``repro.workloads.sharding``,
+``simulate``/``monitor --shards``).  Both run on the same two pieces
 of machinery, which live here exactly once:
 
-* **Warm pool registry** — ``multiprocessing.Pool`` creation costs a
-  fork per worker; repeated ``--jobs``/``--shards`` runs in one process
-  (benchmarks, tests, long-lived services) should reuse workers.
-  Pools are cached by ``(purpose, size)`` so the analysis fan-out and
-  the simulation fan-out never trade workers, and an ``atexit`` hook
-  terminates whatever is still warm.  Workers start via
+* **Warm pools** — :func:`run_tasks` maps a task over its items on a
+  ``concurrent.futures.ProcessPoolExecutor`` cached by
+  ``(purpose, size)``: repeated runs in one process (benchmarks,
+  tests, long-lived services) reuse the workers, and the analysis and
+  simulation fan-outs never trade workers.  Workers start via
   :func:`init_worker`, which ``gc.freeze()``-es the inherited heap so
-  the child's collections stop touching copy-on-write pages.
+  the child's collections stop touching copy-on-write pages.  Any
+  failure discards the pool, and its workers are killed and reaped
+  before the failure reaches the caller.  A worker that dies (a
+  signal, the OOM killer) raises
+  :class:`~repro.errors.WorkerDiedError`: the executor watches every
+  worker process, so a death ends the run without a deadline.
 
-* **Segment transport** — workers hand bulk results back out-of-band
-  as binary *segments*: POSIX shared memory when available, a spooled
-  temp file otherwise (force with ``REPRO_PAIR_TRANSPORT=shm|file``).
-  Deterministic ``token-index`` names make error paths safe: the
-  parent can sweep every possible segment of a run without having
-  heard back from the workers that created them.
+* **Segment transport** — a task's bulk result (an op segment, a
+  group's ``.rtb`` stream, a group's span lines) never travels back
+  through the pool's result pipe.  The task writes it to a file named
+  by its task index inside the run's private ``mkdtemp`` directory
+  (:func:`publish_segment`), and the parent reads the file back
+  (:func:`claim_segment`).  The caller owns the directory and removes
+  it when the run ends, failed or not.
 """
 
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import os
-from pathlib import Path
+
+from repro.errors import WorkerDiedError
 
 # ---------------------------------------------------------------------------
 # Warm pool registry, keyed by (purpose, size).
 
-_POOLS: dict[tuple[str, int], "multiprocessing.pool.Pool"] = {}
+_POOLS: dict[tuple[str, int], "ProcessPoolExecutor"] = {}
 
 
 def init_worker() -> None:
@@ -52,146 +58,87 @@ def init_worker() -> None:
 
 
 def shutdown_pools() -> None:
-    """Terminate every cached pool (the atexit hook)."""
+    """Shut every cached pool down and forget it (the atexit hook).
+
+    Dropping the executors here, while every module is still loaded,
+    keeps their collection out of interpreter teardown, where the
+    executor's own cleanup callback fails and prints a traceback.
+    """
     for pool in _POOLS.values():
-        pool.terminate()
+        pool.shutdown(wait=True)
     _POOLS.clear()
 
 
-def get_pool(purpose: str, processes: int):
-    """A warm pool of exactly ``processes`` workers for ``purpose``.
-
-    Cached per ``(purpose, size)``: asking again with the same pair
-    returns the same live pool, so repeated fan-outs skip the fork
-    storm.  Distinct purposes never share workers — a simulation
-    shard's memory-heavy world stays out of the analysis workers.
-    """
-    key = (purpose, processes)
-    pool = _POOLS.get(key)
-    if pool is None:
-        if not _POOLS:
-            atexit.register(shutdown_pools)
-        pool = multiprocessing.Pool(processes=processes, initializer=init_worker)
-        _POOLS[key] = pool
-    return pool
+atexit.register(shutdown_pools)
 
 
-def discard_pool(purpose: str, processes: int) -> None:
-    """Terminate and forget one cached pool (after a broken run)."""
-    pool = _POOLS.pop((purpose, processes), None)
-    if pool is not None:
-        pool.terminate()
-
-
-def pool_registry() -> dict[tuple[str, int], "multiprocessing.pool.Pool"]:
+def pool_registry() -> dict[tuple[str, int], "ProcessPoolExecutor"]:
     """The live registry (introspection for tests; treat as read-only)."""
     return _POOLS
 
 
-def run_token(prefix: str = "repro") -> str:
-    """A collision-proof per-run token for segment names."""
-    return f"{prefix}-{os.getpid():x}-{os.urandom(4).hex()}"
+def run_tasks(purpose: str, processes: int, task, items) -> list:
+    """``task(item)`` for every item on the warm pool of ``processes``
+    workers for ``purpose``; the results come back in item order.
+
+    Pools are cached per ``(purpose, size)``, so repeated fan-outs skip
+    the fork storm, and distinct purposes never share workers — a
+    simulation shard's memory-heavy world stays out of the analysis
+    workers.
+
+    The first failure, in whichever task it happens, ends the run: the
+    pool is discarded before the failure propagates, so no worker of
+    the run is still running (or writing into the run's temp dir) when
+    it reaches the caller, and the next call gets a fresh pool.  An
+    exception a task raised propagates as itself; a worker process that
+    died raises :class:`~repro.errors.WorkerDiedError`.
+    """
+    # imported here, not at module top: every CLI start-up would pay
+    # for loading concurrent.futures, and most runs never fan out
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
+    key = (purpose, processes)
+    pool = _POOLS.get(key)
+    if pool is None:
+        pool = _POOLS[key] = ProcessPoolExecutor(
+            max_workers=processes, initializer=init_worker
+        )
+    try:
+        futures = [pool.submit(task, item) for item in items]
+        for future in as_completed(futures):
+            future.result()  # raises the first failure as it happens
+        return [future.result() for future in futures]
+    except BaseException as exc:
+        del _POOLS[key]
+        # The executor has no public way to stop a running task before
+        # Python 3.14 (kill_workers), so kill through its worker table;
+        # shutdown then joins the executor's thread, which reaps them.
+        for worker in list((pool._processes or {}).values()):
+            worker.kill()
+        pool.shutdown(wait=True, cancel_futures=True)
+        if isinstance(exc, BrokenProcessPool):
+            raise WorkerDiedError(
+                f"a worker of the {purpose} pool died before its task finished"
+            ) from exc
+        raise
 
 
 # ---------------------------------------------------------------------------
-# Segment transport: shared memory with a temp-file fallback.
+# Segment transport: one file per task in the run's temp dir.
 
-def _shared_memory_module():
-    try:
-        from multiprocessing import shared_memory
-    except ImportError:  # pragma: no cover - always present on CPython 3.8+
-        return None
-    return shared_memory
-
-
-def _untrack(tracked_name: str) -> None:
-    """Drop one shared-memory name from this process's resource tracker."""
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(tracked_name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker variations across OSes
-        pass
+def publish_segment(workdir: str, name: str, payload: bytes) -> str:
+    """Write a task's payload to ``workdir/name`` (worker side); returns
+    the path the parent claims it by."""
+    path = os.path.join(workdir, name)
+    with open(path, "wb") as fileobj:
+        fileobj.write(payload)
+    return path
 
 
-def default_transport() -> str:
-    """``"shm"`` when POSIX shared memory is usable, else ``"file"``.
-
-    Overridable with ``REPRO_PAIR_TRANSPORT=shm|file`` — the file
-    transport trades a copy through the page cache for independence
-    from ``/dev/shm`` sizing.
-    """
-    forced = os.environ.get("REPRO_PAIR_TRANSPORT")
-    if forced in ("shm", "file"):
-        return forced
-    return "shm" if _shared_memory_module() is not None else "file"
-
-
-def segment_name(token: str, index: int) -> str:
-    """Deterministic per-task segment name.
-
-    Deterministic names are what make error paths safe: the parent can
-    sweep every possible segment of a run without having heard back
-    from the workers that created them.
-    """
-    return f"{token}-{index}"
-
-
-def publish_segment(
-    payload: bytes, token: str, index: int, transport: str, workdir: str
-) -> tuple[str, str, int]:
-    """Publish segment bytes (worker side); returns a claimable handle."""
-    if transport == "shm":
-        shared_memory = _shared_memory_module()
-        name = segment_name(token, index)
-        # size=0 is rejected; an empty segment still needs a handle
-        shm = shared_memory.SharedMemory(
-            name=name, create=True, size=max(1, len(payload))
-        )
-        try:
-            shm.buf[: len(payload)] = payload
-        finally:
-            shm.close()
-            # Hand tracking ownership to the claiming parent: its
-            # attach re-registers the name and its unlink unregisters
-            # it.  Without this, the creating worker's resource tracker
-            # still lists the (long unlinked) segment at exit and warns.
-            _untrack(shm._name)
-        return ("shm", name, len(payload))
-    path = Path(workdir) / f"{segment_name(token, index)}.ops"
-    path.write_bytes(payload)
-    return ("file", str(path), len(payload))
-
-
-def claim_segment(handle: tuple[str, str, int]) -> bytes:
-    """Fetch and release one published segment (parent side)."""
-    kind, ref, size = handle
-    if kind == "shm":
-        shared_memory = _shared_memory_module()
-        shm = shared_memory.SharedMemory(name=ref)
-        try:
-            payload = bytes(shm.buf[:size])
-        finally:
-            shm.close()
-            shm.unlink()
-        return payload
-    path = Path(ref)
-    payload = path.read_bytes()
-    path.unlink(missing_ok=True)
+def claim_segment(path: str) -> bytes:
+    """Read one published payload back and delete its file (parent side)."""
+    with open(path, "rb") as fileobj:
+        payload = fileobj.read()
+    os.unlink(path)
     return payload
-
-
-def sweep_segments(token: str, count: int) -> None:
-    """Unlink any shared-memory segments of a run that were never
-    claimed — the error-path backstop (file segments live in the run's
-    temp dir, which its owner removes wholesale)."""
-    shared_memory = _shared_memory_module()
-    if shared_memory is None:
-        return
-    for index in range(count):
-        try:
-            shm = shared_memory.SharedMemory(name=segment_name(token, index))
-        except FileNotFoundError:
-            continue
-        shm.close()
-        shm.unlink()

@@ -25,11 +25,12 @@ every** ``--shards N``:
 * Each group world's collector releases its records in
   :data:`~repro.trace.collector.record_key` order while the world
   runs, and the worker binary-encodes them as they come (the ``.rtb``
-  codec), so no world keeps or sorts its capture.  The encoded
-  streams go back as shared-memory segments over the
-  ``repro.parallel`` transport, and the parent always merges them by
-  the same key, in gid order — ties resolve identically no matter
-  how groups were bucketed.  The merge works on the encoded frames
+  codec), so no world keeps or sorts its capture.  A pool task writes
+  each group's encoded stream (and its span lines) to files named by
+  the gid in the run's temp directory, the ``repro.parallel``
+  transport, and the parent always merges them by the same key, in
+  gid order — ties resolve identically no matter how groups were
+  bucketed.  The merge works on the encoded frames
   (:func:`repro.trace.binfmt.merge_frames`): no record is decoded or
   re-encoded on the way to a binary trace file.
 
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import shutil
 import tempfile
 import time as _time
@@ -55,15 +57,7 @@ from repro.faults.ledger import aggregate_stats
 from repro.obs.eventlog import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import sample_threshold
-from repro.parallel import (
-    claim_segment,
-    default_transport,
-    discard_pool,
-    get_pool,
-    publish_segment,
-    run_token,
-    sweep_segments,
-)
+from repro.parallel import claim_segment, publish_segment, run_tasks
 from repro.simcore.clock import SECONDS_PER_DAY
 from repro.trace.binfmt import (
     BinaryTraceDecoder,
@@ -168,21 +162,18 @@ class ShardTask:
     trace_sample: float
     gids: tuple[int, ...]
     groups: int
-    token: str
-    transport: str
+    #: the run's temp dir, where a pool task writes its groups' payloads
     workdir: str
 
 
 @dataclass
 class GroupOutcome:
-    """One group's results: a segment handle plus small aggregates."""
+    """One group's results: its encoded payloads plus small aggregates."""
 
     gid: int
     records: int
     wall_seconds: float
-    segment: tuple[str, str, int] | None = None
     payload: bytes | None = None
-    span_segment: tuple[str, str, int] | None = None
     span_payload: bytes | None = None
     spans_emitted: int = 0
     calls_seen: int = 0
@@ -236,8 +227,8 @@ def build_group_world(
     return system, compiled.workload
 
 
-def _run_group(task: ShardTask, gid: int, *, inline: bool = False) -> GroupOutcome:
-    """Simulate one group end to end; records leave as one segment."""
+def _run_group(task: ShardTask, gid: int) -> GroupOutcome:
+    """Simulate one group end to end; returns its encoded payloads."""
     started = _time.perf_counter()
     spec = partition_users(task.users, task.groups)[gid]
     system, workload = build_group_world(
@@ -267,13 +258,8 @@ def _run_group(task: ShardTask, gid: int, *, inline: bool = False) -> GroupOutco
         retransmits=sum(c.retransmits for c in system.clients.values()),
         mirror_seen=system.mirror.packets_seen,
         mirror_dropped=system.mirror.packets_dropped,
+        payload=buffer.getvalue(),
     )
-    if inline:
-        outcome.payload = buffer.getvalue()
-    else:
-        outcome.segment = publish_segment(
-            buffer.getvalue(), task.token, gid, task.transport, task.workdir
-        )
     if system.spans is not None:
         outcome.spans_emitted = system.spans.close()
         lines = []
@@ -281,13 +267,7 @@ def _run_group(task: ShardTask, gid: int, *, inline: bool = False) -> GroupOutco
             payload = {k: v for k, v in event.items() if k != "seq"}
             lines.append(json.dumps(payload, separators=(",", ":"),
                                     sort_keys=True))
-        blob = "\n".join(lines).encode("utf-8")
-        if inline:
-            outcome.span_payload = blob
-        else:
-            outcome.span_segment = publish_segment(
-                blob, f"{task.token}-spans", gid, task.transport, task.workdir
-            )
+        outcome.span_payload = "\n".join(lines).encode("utf-8")
     if system.faults is not None:
         outcome.ledger = system.fault_ledger.expected_stats()
         outcome.injected = dict(system.faults.injected)
@@ -296,9 +276,22 @@ def _run_group(task: ShardTask, gid: int, *, inline: bool = False) -> GroupOutco
 
 
 def _run_shard_task(task: ShardTask) -> ShardOutcome:
-    """Pool entry point: simulate every group assigned to this shard."""
+    """Pool entry point: simulate every group assigned to this shard.
+
+    Each group's payloads go to ``<gid>.rtb`` and ``<gid>.spans`` in
+    the run's temp dir, where the parent claims them; the outcomes
+    travel back without them.
+    """
     started = _time.perf_counter()
-    groups = [_run_group(task, gid) for gid in task.gids]
+    groups = []
+    for gid in task.gids:
+        outcome = _run_group(task, gid)
+        publish_segment(task.workdir, f"{gid}.rtb", outcome.payload)
+        publish_segment(
+            task.workdir, f"{gid}.spans", outcome.span_payload or b""
+        )
+        outcome.payload = outcome.span_payload = None
+        groups.append(outcome)
     return ShardOutcome(
         wall_seconds=_time.perf_counter() - started, groups=groups
     )
@@ -525,7 +518,8 @@ def run_sharded(
     :attr:`~ShardRun.fault_stats`, and :meth:`~ShardRun.span_events`
     are byte-identical for every ``shards`` value (the group count is
     fixed by the population, not the worker count).  ``shards=1`` runs
-    the same group worlds inline — same code path, no pool.
+    the same group worlds inline — same code path, no pool.  A pool
+    worker that dies raises :class:`~repro.errors.WorkerDiedError`.
 
     The first ``warmup_days`` are simulated but excluded from the
     merged stream and the tallies, mirroring ``repro simulate``'s
@@ -567,45 +561,30 @@ def run_sharded(
     started = _time.perf_counter()
     if pool_size == 1:
         task = ShardTask(
-            gids=tuple(spec.gid for spec in specs),
-            token="", transport="", workdir="", **base_task,
+            gids=tuple(spec.gid for spec in specs), workdir="", **base_task
         )
         inline_started = _time.perf_counter()
-        outcomes = [
-            _run_group(task, gid, inline=True) for gid in task.gids
-        ]
+        outcomes = [_run_group(task, gid) for gid in task.gids]
         shard_walls = [_time.perf_counter() - inline_started]
     else:
         workdir = tempfile.mkdtemp(prefix="repro-shard-")
-        token = run_token("repro-sim")
-        transport = default_transport()
         tasks = [
-            ShardTask(gids=gids, token=token, transport=transport,
-                      workdir=workdir, **base_task)
+            ShardTask(gids=gids, workdir=workdir, **base_task)
             for gids in plan_shards(specs, pool_size)
         ]
-        pool = get_pool(POOL_PURPOSE, pool_size)
         try:
-            shard_outcomes = pool.map(_run_shard_task, tasks)
+            shard_outcomes = run_tasks(
+                POOL_PURPOSE, pool_size, _run_shard_task, tasks
+            )
             outcomes = [g for s in shard_outcomes for g in s.groups]
-            # claim every segment up front (the merge needs all group
-            # streams simultaneously anyway), then the temp dir and any
-            # stray shm names can go
+            # claim every segment up front: the merge needs all group
+            # streams at once anyway, and then the temp dir can go
             for outcome in outcomes:
-                outcome.payload = claim_segment(outcome.segment)
-                outcome.segment = None
-                if outcome.span_segment is not None:
-                    outcome.span_payload = claim_segment(outcome.span_segment)
-                    outcome.span_segment = None
+                name = os.path.join(workdir, str(outcome.gid))
+                outcome.payload = claim_segment(f"{name}.rtb")
+                outcome.span_payload = claim_segment(f"{name}.spans")
             shard_walls = [s.wall_seconds for s in shard_outcomes]
-        except Exception:
-            # a broken pool (killed worker, crashed world) is not
-            # reusable state worth keeping
-            discard_pool(POOL_PURPOSE, pool_size)
-            raise
         finally:
-            sweep_segments(token, group_count)
-            sweep_segments(f"{token}-spans", group_count)
             shutil.rmtree(workdir, ignore_errors=True)
         outcomes.sort(key=lambda o: o.gid)
     fanout_seconds = _time.perf_counter() - started

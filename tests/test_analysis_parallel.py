@@ -154,11 +154,6 @@ class TestParallelPair:
         explicit = parallel_pair(trace_path, jobs=2, chunk_records=64)
         assert auto == explicit
 
-    def test_file_transport_matches_shm(self, trace_path, monkeypatch):
-        base = parallel_pair(trace_path, jobs=2, chunk_records=64)
-        monkeypatch.setenv("REPRO_PAIR_TRANSPORT", "file")
-        assert parallel_pair(trace_path, jobs=2, chunk_records=64) == base
-
     def test_pool_metrics_published(self, trace_path):
         metrics = MetricsRegistry()
         ops, stats = parallel_pair(

@@ -42,6 +42,13 @@ class TestAnalyzeErrors:
         empty.write_text("")
         _expect_error(capsys, ["analyze", "--in", str(empty)], "no pairable")
 
+    def test_empty_file_with_jobs(self, tmp_path, capsys):
+        empty = tmp_path / "empty.trace"
+        empty.write_text("")
+        _expect_error(capsys, [
+            "analyze", "--in", str(empty), "--jobs", "2",
+        ], "no pairable")
+
     def test_corrupt_text(self, tmp_path, capsys):
         bad = tmp_path / "bad.trace"
         bad.write_text("this is not a trace line\n")
@@ -137,6 +144,12 @@ class TestSimulateAndWatchErrors:
             "--users", "2", "--shards", "0",
             "--out", str(tmp_path / "x.trace"),
         ], "--shards")
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_analyze_jobs_below_one(self, good_trace, jobs, capsys):
+        _expect_error(capsys, [
+            "analyze", "--in", str(good_trace), "--jobs", jobs,
+        ], f"--jobs must be >= 1, got {jobs}")
 
     def test_simulate_sharded_bad_fault_spec(self, tmp_path, capsys):
         _expect_error(capsys, [

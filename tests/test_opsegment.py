@@ -2,18 +2,11 @@
 
 import pytest
 
-from repro.analysis.opsegment import (
-    claim_segment,
-    decode_ops,
-    default_transport,
-    encode_ops,
-    publish_segment,
-    segment_name,
-    sweep_segments,
-)
+from repro.analysis.opsegment import decode_ops, encode_ops
 from repro.analysis.pairing import PairedOp
 from repro.errors import TraceFormatError
 from repro.nfs import NfsProc, NfsStatus
+from repro.parallel import claim_segment, publish_segment
 
 
 def make_ops(n=200):
@@ -73,47 +66,20 @@ class TestCodec:
 
 
 class TestTransport:
-    @pytest.fixture(params=["file", "shm"])
-    def transport(self, request):
-        if request.param == "shm":
-            pytest.importorskip("multiprocessing.shared_memory")
-        return request.param
+    """The one segment transport: a file per task in the run's temp dir."""
 
-    def test_publish_claim_round_trip(self, transport, tmp_path):
+    @pytest.fixture(params=["file"])
+    def workdir(self, tmp_path):
+        return str(tmp_path)
+
+    def test_publish_claim_round_trip(self, workdir):
         payload = encode_ops(make_ops(50))
-        handle = publish_segment(payload, "tok-rt", 0, transport, str(tmp_path))
-        assert claim_segment(handle) == payload
+        path = publish_segment(workdir, "0.ops", payload)
+        assert claim_segment(path) == payload
 
-    def test_claim_releases_the_segment(self, transport, tmp_path):
-        handle = publish_segment(b"abc", "tok-rel", 1, transport, str(tmp_path))
-        claim_segment(handle)
-        if transport == "file":
-            assert not list(tmp_path.glob("*.ops"))
-        else:
-            from multiprocessing import shared_memory
+    def test_claim_releases_the_segment(self, workdir, tmp_path):
+        claim_segment(publish_segment(workdir, "1.ops", b"abc"))
+        assert not list(tmp_path.iterdir())
 
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=segment_name("tok-rel", 1))
-
-    def test_empty_payload(self, transport, tmp_path):
-        handle = publish_segment(b"", "tok-empty", 2, transport, str(tmp_path))
-        assert claim_segment(handle) == b""
-
-    def test_sweep_removes_unclaimed_shm(self):
-        pytest.importorskip("multiprocessing.shared_memory")
-        from multiprocessing import shared_memory
-
-        publish_segment(b"xyz", "tok-sweep", 0, "shm", "")
-        publish_segment(b"xyz", "tok-sweep", 2, "shm", "")
-        sweep_segments("tok-sweep", 3)  # index 1 missing: must not raise
-        for index in (0, 2):
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=segment_name("tok-sweep", index))
-
-    def test_default_transport_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PAIR_TRANSPORT", "file")
-        assert default_transport() == "file"
-        monkeypatch.setenv("REPRO_PAIR_TRANSPORT", "shm")
-        assert default_transport() == "shm"
-        monkeypatch.delenv("REPRO_PAIR_TRANSPORT")
-        assert default_transport() in ("shm", "file")
+    def test_empty_payload(self, workdir):
+        assert claim_segment(publish_segment(workdir, "2.ops", b"")) == b""
