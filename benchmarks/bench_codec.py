@@ -1,20 +1,20 @@
 """Codec throughput and parallel fan-out benches.
 
-Measures the trace pipeline downstream of simulation: text vs binary
-encode/decode throughput on the week-long CAMPUS trace, and the
-``--jobs`` decode+pair fan-out.  Results land in
-``BENCH_campus_week.json`` as ``decode_*``/``encode_*`` phases plus
-``codec`` and ``pair_jobs`` top-level sections (see
-docs/PERFORMANCE.md for the field glossary).
+Checks the trace pipeline downstream of simulation on the week-long
+CAMPUS trace: binary decode must beat text parsing by a wide margin,
+both containers must decode every record, and the ``--jobs``
+decode+pair fan-out must give one result for every jobs count.  The
+``bench`` and ``speedup`` gates of ``smoke.py`` time the same paths
+at smoke scale (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
-import os
+import gc
+import time
 
 import pytest
 
-from benchmarks.perf import bench_extra, bench_timer
 from repro.analysis.parallel import parallel_pair
 from repro.trace import read_trace, write_trace
 
@@ -26,84 +26,39 @@ def trace_files(campus_week, tmp_path_factory):
     text = out / "campus.trace"
     binary = out / "campus.rtb"
     records = campus_week.system.records()
-    timer = bench_timer("campus_week")
-    with timer.phase("encode_text"):
-        write_trace(text, records)
-    with timer.phase("encode_binary"):
-        write_trace(binary, records)
+    write_trace(text, records)
+    write_trace(binary, records)
     return text, binary, len(records)
 
 
-def _phase_seconds(timer, name: str) -> float:
-    for phase in timer.as_dict()["phases"]:
-        if phase["name"] == name:
-            return phase["seconds"]
-    raise KeyError(name)
+def _decode(path) -> tuple[float, int]:
+    """``(wall seconds, records)`` of one full decode of ``path``."""
+    started = time.perf_counter()
+    count = len(read_trace(path))
+    return time.perf_counter() - started, count
 
 
 def test_decode_throughput(trace_files):
     """Binary decode must beat text parsing by a wide margin."""
-    import gc
-
     text, binary, count = trace_files
-    timer = bench_timer("campus_week")
     # len() immediately so each decoded list is freed before the next
     # phase: holding ~900k records of dead weight skews the faster
     # (allocation-bound) codec far more than the parse-bound one
     gc.collect()
-    with timer.phase("decode_text"):
-        n_text = len(read_trace(text))
+    text_s, n_text = _decode(text)
     gc.collect()
-    with timer.phase("decode_binary"):
-        n_binary = len(read_trace(binary))
+    binary_s, n_binary = _decode(binary)
     gc.collect()
     assert n_text == count
     assert n_binary == count
 
-    text_s = _phase_seconds(timer, "decode_text")
-    binary_s = _phase_seconds(timer, "decode_binary")
     ratio = text_s / binary_s if binary_s > 0 else float("inf")
-    bench_extra("campus_week", codec={
-        "records": count,
-        "text_bytes": os.path.getsize(text),
-        "binary_bytes": os.path.getsize(binary),
-        "text_encode_mb_s": round(
-            os.path.getsize(text) / 1e6 /
-            _phase_seconds(timer, "encode_text"), 2),
-        "binary_encode_mb_s": round(
-            os.path.getsize(binary) / 1e6 /
-            _phase_seconds(timer, "encode_binary"), 2),
-        "text_decode_mb_s": round(os.path.getsize(text) / 1e6 / text_s, 2),
-        "binary_decode_mb_s": round(
-            os.path.getsize(binary) / 1e6 / binary_s, 2),
-        "decode_ratio": round(ratio, 2),
-    })
-    # noise-tolerant floor; the committed BENCH json records the real
-    # ratio (>=3x on an idle machine)
+    # noise-tolerant floor; the ratio is >=3x on an idle machine
     assert ratio > 2.0
 
 
 def test_parallel_pair_jobs(trace_files):
-    """Per-jobs decode+pair wall time, and jobs-independence of results."""
+    """Decode+pair results are independent of the jobs count."""
     _text, binary, _count = trace_files
-    timer = bench_timer("campus_week")
-    results = {}
-    for jobs in (1, 2, 4):
-        with timer.phase(f"pair_jobs_{jobs}"):
-            results[jobs] = parallel_pair(binary, jobs=jobs)
+    results = {jobs: parallel_pair(binary, jobs=jobs) for jobs in (1, 2, 4)}
     assert results[1] == results[2] == results[4]
-
-    jobs_1 = _phase_seconds(timer, "pair_jobs_1")
-    bench_extra("campus_week", pair_jobs={
-        "ops": len(results[1][0]),
-        **{
-            f"jobs_{jobs}_seconds": round(
-                _phase_seconds(timer, f"pair_jobs_{jobs}"), 6)
-            for jobs in (1, 2, 4)
-        },
-        **{
-            f"speedup_{jobs}": round(
-                jobs_1 / _phase_seconds(timer, f"pair_jobs_{jobs}"), 3)
-            for jobs in (2, 4)
-        },
-    })

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.perf import bench_extra, bench_timer, flush_all
 from repro.analysis.pairing import PairedOp, PairingStats, pair_all
 from repro.simcore.clock import SECONDS_PER_DAY
 from repro.workloads import (
@@ -44,8 +43,7 @@ class SimulatedWeek:
         self.workload = workload
         self.ops: list[PairedOp]
         self.pairing: PairingStats
-        with bench_timer(f"{name.lower()}_week").phase("pair"):
-            self.ops, self.pairing = pair_all(system.records())
+        self.ops, self.pairing = pair_all(system.records())
 
     def window(self, start: float, end: float) -> list[PairedOp]:
         """Ops with call time in [start, end)."""
@@ -64,14 +62,7 @@ def _simulate_week(name: str, system: TracedSystem, workload) -> SimulatedWeek:
     workload.attach(system)
     # run 10h past the week so Friday's 24h block-lifetime end margin
     # (which reaches Sunday 9am) is fully covered
-    with bench_timer(f"{name.lower()}_week").phase("simulate"):
-        system.run(WEEK + 10 * 3600.0)
-    bench_extra(
-        f"{name.lower()}_week",
-        events=system.loop.events_run,
-        sim_seconds=system.clock.now,
-        sim_wall_ratio=system.metrics.get("loop.sim_wall_ratio").value,
-    )
+    system.run(WEEK + 10 * 3600.0)
     return SimulatedWeek(name, system, workload)
 
 
@@ -87,8 +78,3 @@ def eecs_week() -> SimulatedWeek:
     """A week of the EECS research workload."""
     system = TracedSystem(seed=2002)
     return _simulate_week("EECS", system, EecsResearchWorkload(EecsParams(users=5)))
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Seed the BENCH_*.json perf trajectory from this session's timers."""
-    flush_all()

@@ -679,6 +679,8 @@ def cmd_watch(args) -> int:
     Snapshots go to stderr (like ``--progress``); the final Table 2
     summary to stdout.
     """
+    if args.shards is not None and args.shards < 1:
+        raise ValueError(f"--shards must be >= 1, got {args.shards}")
     if args.shards is not None and args.shards > 1:
         raise ValueError(
             "watch renders live snapshots from inside the event loop and "
@@ -1281,7 +1283,7 @@ def cmd_anonymize(args) -> int:
     if mapping_path is not None and mapping_path.exists():
         anonymizer.import_mappings(json.loads(mapping_path.read_text()))
     count = 0
-    with TraceWriter(args.out) as writer:
+    with _trace_out(args.out) as writer:
         with TraceReader(args.input) as reader:
             for record in reader:
                 writer.write(anonymizer.anonymize_record(record))
@@ -1474,6 +1476,8 @@ def cmd_analyze(args) -> int:
     """
     from repro.analysis.parallel import parallel_pair
 
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if args.stream:
         return _cmd_analyze_stream(args)
     metrics = MetricsRegistry()
@@ -1762,8 +1766,7 @@ def cmd_convert(args) -> int:
     from repro.ingest import REGISTRY, ingest
 
     if not Path(args.input).is_file():
-        # validate before TraceWriter opens --out, or a failed convert
-        # leaves a stray empty output file behind
+        # one message for a missing input, whichever branch reads it
         raise FileNotFoundError(f"trace not found: {args.input}")
     source_format = args.source_format
     if source_format == "auto":
@@ -1781,16 +1784,13 @@ def cmd_convert(args) -> int:
             f"({stats.skipped} skipped) -> {args.out}"
         )
         return 0
-    try:
-        with TraceWriter(args.out) as writer:
-            with TraceReader(args.input) as reader:
-                for record in reader:
-                    writer.write(record)
+    with _trace_out(args.out) as writer:
+        with TraceReader(args.input) as reader:
+            for record in reader:
+                writer.write(record)
+        writer.close()  # the count is final once closed
         if writer.records_written == 0:
             raise ValueError(f"no records in {args.input}")
-    except Exception:
-        Path(args.out).unlink(missing_ok=True)  # no partial output
-        raise
     print(f"converted {writer.records_written} records -> {args.out}")
     return 0
 

@@ -82,13 +82,20 @@ class TestStatsErrors:
         _expect_error(capsys, ["stats", str(bad)], "not a binary trace")
 
 
+#: ``convert`` and ``anonymize`` both transcode ``--in`` into ``--out``.
+ANONYMIZE = ["anonymize", "--key", "7"]
+
+
 class TestConvertErrors:
     def test_missing_input_leaves_no_output(self, tmp_path, capsys):
         out = tmp_path / "out.rtb"
-        _expect_error(capsys, [
-            "convert", "--in", str(tmp_path / "nope.trace"), "--out", str(out),
-        ], "not found")
-        assert not out.exists()
+        for command, message in ((["convert"], "not found"),
+                                 (ANONYMIZE, "No such file")):
+            _expect_error(capsys, [
+                *command,
+                "--in", str(tmp_path / "nope.trace"), "--out", str(out),
+            ], message)
+            assert not out.exists()
 
     def test_empty_input_leaves_no_output(self, tmp_path, capsys):
         empty = tmp_path / "empty.trace"
@@ -103,8 +110,11 @@ class TestConvertErrors:
         bad = tmp_path / "bad.trace"
         bad.write_text("1.0 C 1\nnot a record either\n")
         out = tmp_path / "out.rtb"
-        _expect_error(capsys, ["convert", "--in", str(bad), "--out", str(out)])
-        assert not out.exists()
+        for command in (["convert"], ANONYMIZE):
+            _expect_error(capsys, [
+                *command, "--in", str(bad), "--out", str(out),
+            ])
+            assert not out.exists()
 
     def test_good_input_still_converts(self, good_trace, tmp_path, capsys):
         out = tmp_path / "out.rtb"
@@ -138,6 +148,13 @@ class TestSimulateAndWatchErrors:
             "--shards", "2",
         ], "cannot shard")
 
+    @pytest.mark.parametrize("shards", ["0", "-3"])
+    def test_watch_shards_below_one(self, shards, capsys):
+        _expect_error(capsys, [
+            "watch", "--system", "campus", "--days", "0.01",
+            "--shards", shards,
+        ], f"--shards must be >= 1, got {shards}")
+
     def test_simulate_shards_zero(self, tmp_path, capsys):
         _expect_error(capsys, [
             "simulate", "--system", "campus", "--days", "0.01",
@@ -147,9 +164,10 @@ class TestSimulateAndWatchErrors:
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_analyze_jobs_below_one(self, good_trace, jobs, capsys):
-        _expect_error(capsys, [
-            "analyze", "--in", str(good_trace), "--jobs", jobs,
-        ], f"--jobs must be >= 1, got {jobs}")
+        for stream in ([], ["--stream"]):
+            _expect_error(capsys, [
+                "analyze", "--in", str(good_trace), "--jobs", jobs, *stream,
+            ], f"--jobs must be >= 1, got {jobs}")
 
     def test_simulate_sharded_bad_fault_spec(self, tmp_path, capsys):
         _expect_error(capsys, [
