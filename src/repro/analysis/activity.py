@@ -14,7 +14,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.analysis.pairing import PairedOp
+from repro.nfs.messages import NfsStatus
+from repro.nfs.procedures import NfsProc
 from repro.simcore.clock import SECONDS_PER_HOUR, is_peak_hour
+
+_READ, _WRITE, _OK = NfsProc.READ, NfsProc.WRITE, NfsStatus.OK
 
 
 @dataclass
@@ -76,10 +80,13 @@ class ActivityAnalyzer:
             bucket = HourBucket(start=index * SECONDS_PER_HOUR)
             self._buckets[index] = bucket
         bucket.ops += 1
-        if op.is_read() and op.ok():
+        if op.status is not _OK:
+            return
+        proc = op.proc
+        if proc is _READ:
             bucket.read_ops += 1
             bucket.read_bytes += op.count or 0
-        elif op.is_write() and op.ok():
+        elif proc is _WRITE:
             bucket.write_ops += 1
             bucket.write_bytes += op.count or 0
 

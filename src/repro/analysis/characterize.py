@@ -2,15 +2,18 @@
 
 Table 1 is a qualitative side-by-side of CAMPUS and EECS; each row is
 backed by a measurable quantity.  :func:`characterize` computes all of
-them from one op stream so the benchmark can print the table with the
-measured values substantiating each claim.
+them from one op stream, its analyses folding each op in one pass over
+one shared reconstructed namespace, so the benchmark can print the
+table with the measured values substantiating each claim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.analysis.activity import ActivityAnalyzer
+from repro.analysis.hierarchy import HierarchyReconstructor
 from repro.analysis.lifetimes import (
     DEATH_DELETE,
     DEATH_OVERWRITE,
@@ -20,11 +23,16 @@ from repro.analysis.lifetimes import (
 from repro.analysis.names import NameCategoryAnalyzer
 from repro.analysis.pairing import PairedOp
 from repro.analysis.summary import TraceSummary, summarize_trace
+from repro.nfs.messages import NfsStatus
+from repro.nfs.procedures import NfsProc
 from repro.workloads.namespaces import (
     CATEGORY_LOCK,
     CATEGORY_MAILBOX,
     classify_name,
 )
+
+_READ, _WRITE, _OK = NfsProc.READ, NfsProc.WRITE, NfsStatus.OK
+_TIME = attrgetter("time")
 
 
 @dataclass
@@ -76,8 +84,14 @@ def characterize(
     *,
     peak_ops: list[PairedOp] | None = None,
     lifetime_phase_end: float | None = None,
+    summary: TraceSummary | None = None,
 ) -> Characterization:
     """Run every Table 1 measurement over one op window.
+
+    One pass feeds each op through the activity, lifetime and name
+    folds, then updates the one namespace they share: victims resolve
+    before the namespace changes, as in each analyzer's own
+    ``observe``.  The unique-file census reads the ops once more.
 
     Args:
         ops: paired ops for the full window [start, end).
@@ -86,17 +100,41 @@ def characterize(
         lifetime_phase_end: end of the block-lifetime end margin;
             defaults to ``end`` (phase 1 is the first half, phase 2
             the second).
+        summary: the Table 2 summary of ``ops`` over [start, end), if
+            the caller has built it already; default, built here.
     """
-    summary = summarize_trace(ops, start, end)
-    activity = ActivityAnalyzer().observe_all(ops)
-    table5 = activity.table5(start, end)
+    if summary is None:
+        summary = summarize_trace(ops, start, end)
+    activity = ActivityAnalyzer()
     mid = start + (end - start) / 2
     phase2_end = lifetime_phase_end if lifetime_phase_end is not None else end
-    lifetime = BlockLifetimeAnalyzer(start, mid, phase2_end).observe_all(ops)
+    names = NameCategoryAnalyzer()
+    hierarchy = names.hierarchy
+    # lifetimes skips ops past phase 2 whole, namespace update included,
+    # so it shares the namespace only when no op lies past phase 2
+    shared = not ops or max(map(_TIME, ops)) <= phase2_end
+    lifetime = BlockLifetimeAnalyzer(
+        start, mid, phase2_end, hierarchy=hierarchy if shared else None
+    )
+    observe_activity = activity.observe
+    fold_lifetime = lifetime.fold if shared else lifetime.observe
+    fold_names = names.fold
+    observe_namespace = hierarchy.observe
+    # READ/WRITE bytes per handle, resolved through the final namespace
+    moved: dict[str | None, int] = {}
+    for op in ops:
+        observe_activity(op)
+        fold_lifetime(op)
+        fold_names(op)
+        observe_namespace(op)
+        if op.status is _OK:
+            proc = op.proc
+            if proc is _READ or proc is _WRITE:
+                fh = op.fh
+                moved[fh] = moved.get(fh, 0) + (op.count or 0)
+    table5 = activity.table5(start, end)
     life_report = lifetime.report()
-    names = NameCategoryAnalyzer().observe_all(ops)
     shares = names.accessed_shares(peak_ops if peak_ops is not None else ops)
-    mailbox_bytes = _mailbox_byte_share(ops, names)
     return Characterization(
         summary=summary,
         metadata_fraction=summary.metadata_fraction,
@@ -105,7 +143,7 @@ def characterize(
         peak_variance_reduction=table5.variance_reduction("total_ops"),
         mailbox_file_share=shares.get(CATEGORY_MAILBOX, 0.0),
         lock_file_share=shares.get(CATEGORY_LOCK, 0.0),
-        mailbox_byte_share=mailbox_bytes,
+        mailbox_byte_share=_mailbox_share(moved, hierarchy),
         median_block_lifetime=life_report.median_lifetime(),
         fraction_blocks_dead_within_1s=life_report.fraction_dead_within(1.0),
         death_overwrite_fraction=life_report.death_fraction(DEATH_OVERWRITE),
@@ -114,15 +152,15 @@ def characterize(
     )
 
 
-def _mailbox_byte_share(ops: list[PairedOp], names: NameCategoryAnalyzer) -> float:
-    """Share of read+written bytes moving through mailbox files."""
+def _mailbox_share(
+    moved: dict[str | None, int], hierarchy: HierarchyReconstructor
+) -> float:
+    """Share of read+written bytes moving through mailbox files, from
+    per-handle byte tallies named by the final namespace."""
     mailbox = total = 0
-    for op in ops:
-        if not op.ok() or not (op.is_read() or op.is_write()):
-            continue
-        nbytes = op.count or 0
+    for fh, nbytes in moved.items():
         total += nbytes
-        known = names.hierarchy.lookup(op.fh) if op.fh else None
+        known = hierarchy.lookup(fh) if fh else None
         if known is not None and known.name is not None:
             if classify_name(known.name) == CATEGORY_MAILBOX:
                 mailbox += nbytes

@@ -17,7 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.pairing import PairedOp
+from repro.nfs.messages import NfsStatus
 from repro.nfs.procedures import NfsProc
+
+_OK = NfsStatus.OK
+
+#: Procedures whose reply binds a name: they may introduce a handle
+#: without it being an orphan.
+_BINDER_PROCS = frozenset(
+    {NfsProc.LOOKUP, NfsProc.CREATE, NfsProc.MKDIR, NfsProc.SYMLINK}
+)
 
 
 @dataclass(slots=True)
@@ -47,23 +56,23 @@ class HierarchyReconstructor:
 
     def observe(self, op: PairedOp) -> None:
         """Feed one operation; updates the namespace model."""
-        if op.fh is not None and op.fh not in self._files and op.proc not in (
-            NfsProc.LOOKUP, NfsProc.CREATE, NfsProc.MKDIR, NfsProc.SYMLINK,
-        ):
+        fh = op.fh
+        files = self._files
+        if fh is not None and fh not in files and op.proc not in _BINDER_PROCS:
             # an operation on a handle whose parentage we never saw
             self.orphan_operations += 1
-            self._files[op.fh] = KnownFile(fh=op.fh, first_seen=op.time)
-        if not op.ok():
-            if op.proc in (NfsProc.REMOVE, NfsProc.RMDIR) and op.fh and op.name:
-                pass  # failed removes change nothing
-            return
+            files[fh] = KnownFile(fh, first_seen=op.time)
+        if op.status is not _OK:
+            return  # a failed operation changes nothing
         handler = _OBSERVERS.get(op.proc)
         if handler is not None:
             handler(self, op)
-        if op.fh is not None and op.post_size is not None:
-            entry = self._files.get(op.fh)
-            if entry is not None and op.reply_fh in (None, op.fh):
-                entry.last_size = op.post_size
+        post_size = op.post_size
+        if fh is not None and post_size is not None:
+            entry = files.get(fh)
+            reply_fh = op.reply_fh
+            if entry is not None and (reply_fh is None or reply_fh == fh):
+                entry.last_size = post_size
 
     # -- queries ------------------------------------------------------------
 

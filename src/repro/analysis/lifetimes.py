@@ -20,9 +20,9 @@ the in-place create-truncate of an existing file's blocks being
 recycled by later writes), **truncate** (setattr shrinks the file or a
 non-exclusive CREATE truncates an existing file), and **file deletion**
 (REMOVE, or a RENAME that displaces an existing target).  REMOVE calls
-carry only (directory, name), so the analyzer embeds a
-:class:`~repro.analysis.hierarchy.HierarchyReconstructor` to resolve
-victims.
+carry only (directory, name), so the analyzer resolves victims through
+a :class:`~repro.analysis.hierarchy.HierarchyReconstructor`: its own,
+or one it shares with other analyses of the same stream.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from typing import Iterable
 from repro.analysis.hierarchy import HierarchyReconstructor
 from repro.analysis.pairing import PairedOp
 from repro.fs.blockmap import block_count, block_of, block_range
+from repro.nfs.messages import NfsStatus
 from repro.nfs.procedures import NfsProc
 
 BIRTH_WRITE = "write"
@@ -42,6 +43,11 @@ BIRTH_EXTENSION = "extension"
 DEATH_OVERWRITE = "overwrite"
 DEATH_TRUNCATE = "truncate"
 DEATH_DELETE = "delete"
+
+_OK = NfsStatus.OK
+_READ, _WRITE, _SETATTR = NfsProc.READ, NfsProc.WRITE, NfsProc.SETATTR
+_CREATE, _RENAME = NfsProc.CREATE, NfsProc.RENAME
+_REMOVE, _RMDIR = NfsProc.REMOVE, NfsProc.RMDIR
 
 
 @dataclass
@@ -114,10 +120,20 @@ class BlockLifetimeAnalyzer:
         phase1_start / phase1_end: the birth-recording window.
         phase2_end: end of the deaths-only end margin.  The paper used
             24-hour phases starting at 9am.
+        hierarchy: a namespace to resolve victims through, shared with
+            other analyses; default, a private one.  A sharing caller
+            feeds :meth:`fold` and updates the namespace itself after
+            it.  Ops past ``phase2_end`` are skipped whole, namespace
+            update included, so share only when no op lies past it.
     """
 
     def __init__(
-        self, phase1_start: float, phase1_end: float, phase2_end: float
+        self,
+        phase1_start: float,
+        phase1_end: float,
+        phase2_end: float,
+        *,
+        hierarchy: HierarchyReconstructor | None = None,
     ) -> None:
         if not (phase1_start < phase1_end <= phase2_end):
             raise ValueError(
@@ -126,12 +142,13 @@ class BlockLifetimeAnalyzer:
         self.phase1_start = phase1_start
         self.phase1_end = phase1_end
         self.phase2_end = phase2_end
-        self.hierarchy = HierarchyReconstructor()
+        self.hierarchy = (
+            hierarchy if hierarchy is not None else HierarchyReconstructor()
+        )
         self._files: dict[str, _FileState] = {}
         self._births_by_cause: Counter[str] = Counter()
         self._total_births = 0
         self._deaths: list[tuple[float, str]] = []  # (lifetime, cause)
-        self._surviving: int = 0  # finalized in report()
         self.ops_skipped = 0
 
     # -- streaming ---------------------------------------------------------------
@@ -140,21 +157,43 @@ class BlockLifetimeAnalyzer:
         """Feed one paired op (any procedure; in wire-time order)."""
         if op.time > self.phase2_end:
             return
-        if op.ok():
-            if op.proc is NfsProc.WRITE:
-                self._observe_write(op)
-            elif op.proc is NfsProc.SETATTR and op.size is not None:
-                self._observe_truncate(op)
-            elif op.proc is NfsProc.CREATE:
-                self._observe_create(op)
-            elif op.proc in (NfsProc.REMOVE, NfsProc.RMDIR):
-                self._observe_remove(op)
-            elif op.proc is NfsProc.RENAME:
-                self._observe_rename(op)
-            else:
-                self._learn_size(op)
+        self.fold(op)
         # hierarchy updates must come after victim resolution
         self.hierarchy.observe(op)
+
+    def fold(self, op: PairedOp) -> None:
+        """One op's births and deaths, without the namespace update.
+
+        Victims resolve through :attr:`hierarchy` as it stands, so a
+        caller sharing that namespace updates it after this call.  Ops
+        past ``phase2_end`` must not reach it (:meth:`observe` drops
+        them).
+        """
+        if op.status is not _OK:
+            return
+        proc = op.proc
+        if proc is _WRITE:
+            self._observe_write(op)
+        elif proc is _SETATTR and op.size is not None:
+            self._observe_truncate(op)
+        elif proc is _CREATE:
+            self._observe_create(op)
+        elif proc is _REMOVE or proc is _RMDIR:
+            self._observe_remove(op)
+        elif proc is _RENAME:
+            self._observe_rename(op)
+        else:
+            # any other reply's attributes may reveal a file's size
+            post_size = op.post_size
+            target = op.reply_fh or op.fh
+            if target is None or post_size is None:
+                return
+            state = self._files.get(target)
+            if state is None:
+                self._files[target] = _FileState(post_size)
+            elif proc is not _READ and post_size > state.size:
+                # reads don't change size; other attrs reflect server truth
+                state.size = post_size
 
     def observe_all(self, ops: Iterable[PairedOp]) -> "BlockLifetimeAnalyzer":
         """Feed a whole stream; returns self for chaining."""
@@ -199,30 +238,26 @@ class BlockLifetimeAnalyzer:
         return self.phase1_start <= t < self.phase1_end
 
     def _state(self, op: PairedOp) -> _FileState | None:
-        if op.fh is None:
+        """The file state a WRITE or SETATTR mutates, or None to skip it."""
+        fh = op.fh
+        if fh is None:
             return None
-        state = self._files.get(op.fh)
+        state = self._files.get(fh)
         if state is None:
-            known = self.hierarchy.lookup(op.fh)
-            if known is not None and known.last_size is not None:
-                state = _FileState(size=known.last_size)
-            elif op.post_size is not None and op.proc not in (
-                NfsProc.WRITE, NfsProc.SETATTR,
-            ):
-                state = _FileState(size=op.post_size)
-            else:
+            known = self.hierarchy.lookup(fh)
+            if known is None or known.last_size is None:
                 # first sight of this file is a mutation: its prior
                 # size is unknowable, so skip the op (counted)
                 self.ops_skipped += 1
-                state = _FileState(size=op.post_size or 0)
-                self._files[op.fh] = state
+                self._files[fh] = _FileState(op.post_size or 0)
                 return None
-            self._files[op.fh] = state
+            state = _FileState(known.last_size)
+            self._files[fh] = state
         return state
 
     def _birth(self, state: _FileState, block: int, t: float, cause: str) -> None:
         state.births[block] = t
-        if self._in_phase1(t):
+        if self.phase1_start <= t < self.phase1_end:
             self._total_births += 1
             self._births_by_cause[cause] += 1
 
@@ -230,28 +265,31 @@ class BlockLifetimeAnalyzer:
         birth = state.births.pop(block, None)
         if birth is None:
             return  # pre-existing block: create-based method ignores it
-        if self._in_phase1(birth):
+        if self.phase1_start <= birth < self.phase1_end:
             self._deaths.append((t - birth, cause))
 
     def _observe_write(self, op: PairedOp) -> None:
         state = self._state(op)
-        if state is None or op.offset is None or op.count is None or op.count == 0:
+        offset, count = op.offset, op.count
+        if state is None or offset is None or count is None or count == 0:
             return
+        t = op.time
+        birth, death = self._birth, self._death
         pre_size = state.size
         old_blocks = block_count(pre_size)
-        lseek_past_eof = op.offset > pre_size
+        lseek_past_eof = offset > pre_size
         # gap blocks between the old EOF and the write: extensions
         if lseek_past_eof:
-            for block in range(old_blocks, block_of(op.offset)):
-                self._birth(state, block, op.time, BIRTH_EXTENSION)
-        for block in block_range(op.offset, op.count):
+            for block in range(old_blocks, block_of(offset)):
+                birth(state, block, t, BIRTH_EXTENSION)
+        tail_cause = BIRTH_EXTENSION if lseek_past_eof else BIRTH_WRITE
+        for block in block_range(offset, count):
             if block < old_blocks:
-                self._death(state, block, op.time, DEATH_OVERWRITE)
-                self._birth(state, block, op.time, BIRTH_WRITE)
+                death(state, block, t, DEATH_OVERWRITE)
+                birth(state, block, t, BIRTH_WRITE)
             else:
-                cause = BIRTH_EXTENSION if lseek_past_eof else BIRTH_WRITE
-                self._birth(state, block, op.time, cause)
-        state.size = max(pre_size, op.offset + op.count)
+                birth(state, block, t, tail_cause)
+        state.size = max(pre_size, offset + count)
         if op.post_size is not None:
             state.size = max(state.size, op.post_size)
 
@@ -305,14 +343,3 @@ class BlockLifetimeAnalyzer:
         displaced = self.hierarchy.child(target_dir, target_name)
         if displaced is not None and displaced != moved:
             self._kill_file(displaced, op.time)
-
-    def _learn_size(self, op: PairedOp) -> None:
-        target = op.reply_fh or op.fh
-        if target is None or op.post_size is None:
-            return
-        state = self._files.get(target)
-        if state is None:
-            self._files[target] = _FileState(size=op.post_size)
-        elif op.proc is not NfsProc.READ:
-            # reads don't change size; other attrs reflect server truth
-            state.size = max(state.size, op.post_size)

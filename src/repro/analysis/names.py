@@ -25,8 +25,13 @@ from dataclasses import dataclass, field
 
 from repro.analysis.hierarchy import HierarchyReconstructor
 from repro.analysis.pairing import PairedOp
+from repro.nfs.messages import NfsStatus
 from repro.nfs.procedures import NfsProc
 from repro.workloads.namespaces import CATEGORY_OTHER, classify_name
+
+_OK = NfsStatus.OK
+_READ, _WRITE, _LOOKUP = NfsProc.READ, NfsProc.WRITE, NfsProc.LOOKUP
+_CREATE, _REMOVE, _RMDIR = NfsProc.CREATE, NfsProc.REMOVE, NfsProc.RMDIR
 
 #: Size buckets (bytes): zero, <=8K, <=64K, <=1M, large.
 SIZE_BUCKET_EDGES = (0, 8 * 1024, 64 * 1024, 1024 * 1024)
@@ -122,24 +127,38 @@ class NameCategoryAnalyzer:
 
     def observe(self, op: PairedOp) -> None:
         """Feed one paired op (wire-time order)."""
+        self.fold(op)
+        self.hierarchy.observe(op)
+
+    def fold(self, op: PairedOp) -> None:
+        """One op's observations, without the namespace update.
+
+        Victims resolve through :attr:`hierarchy` as it stands, so a
+        caller feeding this updates the namespace after it.
+        """
         if self._sorted_cache:
             self._sorted_cache.clear()
-        if op.ok():
-            if op.proc is NfsProc.CREATE and op.reply_fh and op.name:
+        if op.status is not _OK:
+            return
+        proc = op.proc
+        if proc is _READ or proc is _WRITE:
+            if op.fh:
+                self._observe_access(op)
+        elif proc is _LOOKUP:
+            if op.reply_fh and op.name:
+                self._file_for(op.reply_fh, op.name)
+        elif proc is _CREATE:
+            if op.reply_fh and op.name:
                 obs = self._file_for(op.reply_fh, op.name)
                 if obs.created_at is None:
                     obs.created_at = op.time
                 if op.post_size is not None:
                     obs.max_size = max(obs.max_size, op.post_size)
-            elif op.proc in (NfsProc.REMOVE, NfsProc.RMDIR) and op.fh and op.name:
+        elif proc is _REMOVE or proc is _RMDIR:
+            if op.fh and op.name:
                 victim = self.hierarchy.child(op.fh, op.name)
                 if victim is not None and victim in self._files:
                     self._files[victim].deleted_at = op.time
-            elif op.proc is NfsProc.LOOKUP and op.reply_fh and op.name:
-                self._file_for(op.reply_fh, op.name)
-            if (op.is_read() or op.is_write()) and op.fh:
-                self._observe_access(op)
-        self.hierarchy.observe(op)
 
     def observe_all(self, ops) -> "NameCategoryAnalyzer":
         """Feed a whole stream; returns self."""
@@ -155,21 +174,25 @@ class NameCategoryAnalyzer:
         return obs
 
     def _observe_access(self, op: PairedOp) -> None:
-        obs = self._files.get(op.fh)
+        fh = op.fh
+        obs = self._files.get(fh)
         if obs is None:
-            known = self.hierarchy.lookup(op.fh)
+            known = self.hierarchy.lookup(fh)
             if known is None or known.name is None:
                 return
-            obs = self._file_for(op.fh, known.name)
-        if op.post_size is not None:
-            obs.max_size = max(obs.max_size, op.post_size)
-        if op.offset is None or op.count is None:
+            obs = self._file_for(fh, known.name)
+        post_size = op.post_size
+        if post_size is not None and post_size > obs.max_size:
+            obs.max_size = post_size
+        offset, count = op.offset, op.count
+        if offset is None or count is None:
             return
-        if obs._last_end is None or op.offset == obs._last_end:
+        last_end = obs._last_end
+        if last_end is None or offset == last_end:
             obs.sequential_accesses += 1
         else:
             obs.nonsequential_accesses += 1
-        obs._last_end = op.offset + op.count
+        obs._last_end = offset + count
 
     # -- census queries -------------------------------------------------------------
 
@@ -292,24 +315,26 @@ class NameCategoryAnalyzer:
         Feed the same (or a sub-window's) op stream; only file handles
         with learned names are categorizable, the rest count as other.
         """
-        directories = self.hierarchy.known_directories()
-        seen: set[str] = set()
-        census: Counter = Counter()
+        handles: dict[str | None, None] = {}
         for op in ops:
-            for fh in (op.fh, op.reply_fh):
-                if fh is None or fh in seen or fh in directories:
-                    continue
-                known = self.hierarchy.lookup(fh)
-                if known is not None and known.ftype == "DIR":
-                    continue
-                seen.add(fh)
-                obs = self._files.get(fh)
-                if obs is not None:
-                    census[obs.category] += 1
-                elif known is not None and known.name is not None:
-                    census[classify_name(known.name)] += 1
-                else:
-                    census[CATEGORY_OTHER] += 1
+            handles[op.fh] = None
+            handles[op.reply_fh] = None
+        directories = self.hierarchy.known_directories()
+        lookup = self.hierarchy.lookup
+        census: Counter = Counter()
+        for fh in handles:
+            if fh is None or fh in directories:
+                continue
+            known = lookup(fh)
+            if known is not None and known.ftype == "DIR":
+                continue
+            obs = self._files.get(fh)
+            if obs is not None:
+                census[obs.category] += 1
+            elif known is not None and known.name is not None:
+                census[classify_name(known.name)] += 1
+            else:
+                census[CATEGORY_OTHER] += 1
         total = sum(census.values())
         if total == 0:
             return {}

@@ -366,8 +366,11 @@ def _add_scenario_arg(sub) -> None:
 
 def _add_window_args(sub) -> None:
     sub.add_argument("--in", dest="input", required=True)
-    sub.add_argument("--start", type=float, default=None)
-    sub.add_argument("--end", type=float, default=None)
+    sub.add_argument("--start", type=float, default=None,
+                     help="window start, trace seconds (default: whole trace)")
+    sub.add_argument("--end", type=float, default=None,
+                     help="window end, exclusive; must be above --start "
+                          "(default: whole trace)")
 
 
 def _add_span_args(sub) -> None:
@@ -1319,11 +1322,25 @@ def _stream_trace(path, analyses, *, metrics=None, spans=None):
     return results, engine
 
 
-def _window(args, ops):
-    """The analysis window of call-time-ordered ``ops``:
-    ``--start``/``--end``, else the first and last call time."""
-    start = args.start if args.start is not None else ops[0].time
-    end = args.end if args.end is not None else ops[-1].time + 1e-6
+def _window(args, ops=None):
+    """The analysis window ``(start, end)`` of ``--start``/``--end``.
+
+    Given call-time-ordered ``ops``, an unset bound defaults to the
+    first call time or just past the last; without them it stays None.
+    A window that is empty once the defaults apply is an error naming
+    the flags, raised before the command prints anything.
+    """
+    start, end = args.start, args.end
+    if ops:
+        start = start if start is not None else ops[0].time
+        end = end if end is not None else ops[-1].time + 1e-6
+    if start is not None and end is not None and start >= end:
+        first = "" if args.start is not None else " (the first call)"
+        last = "" if args.end is not None else " (just past the last call)"
+        raise ValueError(
+            f"empty window: --start {start!r}{first} must be below "
+            f"--end {end!r}{last}"
+        )
     return start, end
 
 
@@ -1373,6 +1390,7 @@ def _runs_text(input_path, table, window_ms, jumps) -> str:
 def cmd_summary(args) -> int:
     """Print a Table 2-style summary: ``analyze --stream``'s summary
     section, from one bounded-memory pass on the streaming engine."""
+    _window(args)
     results, _engine = _stream_trace(
         args.input, [StreamSummary(start=args.start, end=args.end)]
     )
@@ -1383,6 +1401,7 @@ def cmd_summary(args) -> int:
 def cmd_runs(args) -> int:
     """Print a Table 3-style run classification: ``analyze --stream``'s
     runs section, from one bounded-memory pass on the streaming engine."""
+    _window(args)
     results, _engine = _stream_trace(args.input, [_stream_runs(args)])
     print(_runs_text(args.input, results["runs"], args.window_ms, args.jumps))
     return 0
@@ -1434,8 +1453,8 @@ def cmd_lifetimes(args) -> int:
     return 0
 
 
-def _report_text(input_path, ops, start, end) -> str:
-    c = characterize(ops, start, end)
+def _report_text(input_path, ops, start, end, summary=None) -> str:
+    c = characterize(ops, start, end, summary=summary)
     rows = [
         ["Dominant call type", c.dominant_call_type()],
         ["Metadata fraction", f"{c.metadata_fraction:.1%}"],
@@ -1458,6 +1477,7 @@ def _report_text(input_path, ops, start, end) -> str:
 
 def cmd_report(args) -> int:
     """Print the full Table 1-style characterization."""
+    _window(args)
     ops, _stats = _pair_trace(args.input)
     start, end = _window(args, ops)
     print(_report_text(args.input, ops, start, end))
@@ -1471,13 +1491,14 @@ def cmd_analyze(args) -> int:
     :func:`repro.analysis.parallel.parallel_pair`, fanned over
     ``--jobs`` worker processes — and its operation list, in call-time
     order like ``_pair_trace``'s, feeds the summary, run-pattern, and
-    characterization reports.  Output is byte-identical for every
-    ``--jobs`` value.
+    characterization reports; the characterization reuses the printed
+    summary.  Output is byte-identical for every ``--jobs`` value.
     """
     from repro.analysis.parallel import parallel_pair
 
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    _window(args)
     if args.stream:
         return _cmd_analyze_stream(args)
     metrics = MetricsRegistry()
@@ -1489,12 +1510,13 @@ def cmd_analyze(args) -> int:
         if not ops:
             raise ValueError(f"no pairable operations in {args.input}")
         start, end = _window(args, ops)
-        print(_summary_text(args.input, summarize_trace(ops, start, end), stats))
+        summary = summarize_trace(ops, start, end)
+        print(_summary_text(args.input, summary, stats))
         print()
         table = _batch_runs_table(ops, start, end, args.window_ms, args.jumps)
         print(_runs_text(args.input, table, args.window_ms, args.jumps))
         print()
-        print(_report_text(args.input, ops, start, end))
+        print(_report_text(args.input, ops, start, end, summary))
     finally:
         spans_emitted = _finish_analysis_spans(spans, span_sink)
     if spans_emitted is not None:

@@ -10,10 +10,8 @@ live apart from the metrics registry.
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Iterator
 
 
@@ -62,10 +60,3 @@ class PhaseTimer:
             ],
             "total_seconds": round(self.total, 6),
         }
-
-    def write_json(self, path: str | Path, **extra) -> Path:
-        """Write ``as_dict()`` (plus ``extra`` top-level fields) to ``path``."""
-        path = Path(path)
-        payload = {**extra, **self.as_dict()}
-        path.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
-        return path

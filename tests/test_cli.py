@@ -224,6 +224,24 @@ class TestAnalyzeDigests:
             "68c7a5eea6dcf2e43ed19f24b4ee6974c78a47c7136ccd8c5e038eeb9606d2a9",
     }
 
+    #: sha256 of the other batch reports' stdout, per (trace, command):
+    #: lifetimes' own phases, report's characterization and the names
+    #: census and predictions
+    PINNED_REPORTS = {
+        ("campus", "report"):
+            "ba06b90a75f5e693cc14b7731543921b095f31057ce48022eb69f0e945ff4d0a",
+        ("campus", "lifetimes"):
+            "654ae1d7ede7d02f19c1284b85a3bef4a96ce5a06d7292d58eb02d760463c322",
+        ("campus", "names"):
+            "75818cf65784e82ddba6ff8bc230367662f2608d30c6b793928cdf83a8cbd2e8",
+        ("eecs", "report"):
+            "52cc3d7fce7cbcc509a985b35331a5f8b25fa8dc3042720718f5926619b7ded7",
+        ("eecs", "lifetimes"):
+            "bd18de90c9002193702efcdd137b7ad739c89d4faa2fd384a1ff4336d11ac251",
+        ("eecs", "names"):
+            "1d49f9a79cea27dd1da76f216253813b8957d9ba7b415bd851df4ec4f5380f4e",
+    }
+
     def test_analyze_output_matches_pinned_digests(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -243,6 +261,11 @@ class TestAnalyzeDigests:
                 out = capsys.readouterr().out
                 assert (hashlib.sha256(out.encode()).hexdigest()
                         == self.PINNED[name, mode[0]]), (name, mode)
+            for command in ("report", "lifetimes", "names"):
+                assert main([command, "--in", trace]) == 0
+                out = capsys.readouterr().out
+                assert (hashlib.sha256(out.encode()).hexdigest()
+                        == self.PINNED_REPORTS[name, command]), (name, command)
 
 
 class TestAnonymize:

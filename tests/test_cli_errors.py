@@ -185,6 +185,37 @@ class TestSimulateAndWatchErrors:
         ], "--serve")
 
 
+class TestWindowErrors:
+    """An empty or inverted ``--start``/``--end`` window exits 2 before
+    any output, with one line naming both flags.  The trace's one call
+    is at t=1.0, so the batch defaults are 1.0 and just past it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["summary", "--start", "100", "--end", "50"],
+        ["runs", "--start", "100", "--end", "50"],
+        ["report", "--start", "100", "--end", "50"],
+        ["analyze", "--start", "100", "--end", "50"],
+        ["analyze", "--stream", "--start", "100", "--end", "50"],
+        ["analyze", "--jobs", "2", "--start", "50", "--end", "50"],
+        ["analyze", "--start", "999999"],
+        ["analyze", "--end", "0"],
+        ["report", "--start", "999999"],
+        ["report", "--end", "1.0"],
+    ], ids=["summary", "runs", "report", "analyze", "stream", "equal",
+            "analyze-start", "analyze-end", "report-start", "report-end"])
+    def test_exits_before_any_output(self, good_trace, argv, capsys):
+        captured = _expect_error(
+            capsys, [*argv, "--in", str(good_trace)], "empty window")
+        assert captured.out == ""
+        assert "--start" in captured.err and "--end" in captured.err
+
+    def test_window_holding_no_ops_still_reports(self, good_trace, capsys):
+        # a non-empty window past the last call is not an error
+        assert main(["summary", "--in", str(good_trace),
+                     "--start", "5", "--end", "10"]) == 0
+        assert "Total ops" in capsys.readouterr().out
+
+
 class TestGoodPathsStillExit0:
     def test_stats(self, good_trace, capsys):
         assert main(["stats", str(good_trace)]) == 0

@@ -2,11 +2,12 @@
 
 Each kernel here was rewritten for speed: the binary decoder's
 generated per-bitmap record builders, the unrolled P² update,
-``RunBuilder.feed`` and the op-segment decoder's generated builders.
-Each test drives the kernel and a plain reference — the generic
-builder, or a verbatim copy of the textbook loop kept in this file —
-over the same random input and requires the same result, state and
-errors.
+``RunBuilder.feed``, the op-segment decoder's generated builders, and
+the one-pass ``characterize`` with the lean ``observe`` of each
+analyzer it runs.  Each test drives the kernel and a plain reference —
+the generic builder, or a verbatim copy of the textbook loop kept in
+this file — over the same random input and requires the same result,
+state and errors.
 """
 
 from __future__ import annotations
@@ -14,18 +15,40 @@ from __future__ import annotations
 import io
 import struct
 from bisect import insort
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import opsegment
+from repro.analysis.activity import ActivityAnalyzer, HourBucket
+from repro.analysis.characterize import Characterization, characterize
+from repro.analysis.hierarchy import (
+    _OBSERVERS,
+    HierarchyReconstructor,
+    KnownFile,
+)
+from repro.analysis.lifetimes import (
+    BIRTH_EXTENSION,
+    BIRTH_WRITE,
+    DEATH_DELETE,
+    DEATH_OVERWRITE,
+    DEATH_TRUNCATE,
+    BlockLifetimeAnalyzer,
+    _FileState,
+)
+from repro.analysis.names import NameCategoryAnalyzer
 from repro.analysis.opsegment import decode_ops, encode_ops
-from repro.analysis.pairing import PairedOp
+from repro.analysis.pairing import PairedOp, call_order_key
 from repro.analysis.runs import Access, Run, RunBuilder
+from repro.analysis.summary import summarize_trace
 from repro.errors import TraceFormatError
+from repro.fs.blockmap import block_count, block_of, block_range
 from repro.nfs.messages import NfsStatus
 from repro.nfs.procedures import NfsProc
+from repro.simcore.clock import SECONDS_PER_HOUR
+from repro.stream.analyses import StreamLifetimes
 from repro.stream.operators import P2Quantile
 from repro.trace import binfmt
 from repro.trace.binfmt import (
@@ -35,6 +58,12 @@ from repro.trace.binfmt import (
     BinaryTraceEncoder,
 )
 from repro.trace.record import _FIELD_CODECS, Direction, TraceRecord
+from repro.workloads.namespaces import (
+    CATEGORY_LOCK,
+    CATEGORY_MAILBOX,
+    CATEGORY_OTHER,
+    classify_name,
+)
 from tests.helpers import op
 
 # -- decoder: generated builders against the generic builder -------------------
@@ -594,3 +623,497 @@ class TestOpSegmentOracle:
             # between one unpack and two
             assert message.startswith("corrupt op segment: ")
             assert reference_message.startswith("corrupt op segment: ")
+
+
+# -- characterize: one pass against the multi-pass composition -----------------
+
+
+class _ReferenceHierarchy(HierarchyReconstructor):
+    """``observe`` as written before it was tuned."""
+
+    def observe(self, op):
+        if op.fh is not None and op.fh not in self._files and op.proc not in (
+            NfsProc.LOOKUP, NfsProc.CREATE, NfsProc.MKDIR, NfsProc.SYMLINK,
+        ):
+            self.orphan_operations += 1
+            self._files[op.fh] = KnownFile(fh=op.fh, first_seen=op.time)
+        if not op.ok():
+            return
+        handler = _OBSERVERS.get(op.proc)
+        if handler is not None:
+            handler(self, op)
+        if op.fh is not None and op.post_size is not None:
+            entry = self._files.get(op.fh)
+            if entry is not None and op.reply_fh in (None, op.fh):
+                entry.last_size = op.post_size
+
+
+class _ReferenceLifetimeSteps:
+    """``BlockLifetimeAnalyzer``'s per-op steps as written before they
+    were tuned; mixed in ahead of a tuned class, whose ``_death`` (the
+    old one, or ``StreamLifetimes``' override) stays in use."""
+
+    def observe(self, op):
+        if op.time > self.phase2_end:
+            return
+        if op.ok():
+            if op.proc is NfsProc.WRITE:
+                self._observe_write(op)
+            elif op.proc is NfsProc.SETATTR and op.size is not None:
+                self._observe_truncate(op)
+            elif op.proc is NfsProc.CREATE:
+                self._observe_create(op)
+            elif op.proc in (NfsProc.REMOVE, NfsProc.RMDIR):
+                self._observe_remove(op)
+            elif op.proc is NfsProc.RENAME:
+                self._observe_rename(op)
+            else:
+                self._learn_size(op)
+        self.hierarchy.observe(op)
+
+    def _state(self, op):
+        if op.fh is None:
+            return None
+        state = self._files.get(op.fh)
+        if state is None:
+            known = self.hierarchy.lookup(op.fh)
+            if known is not None and known.last_size is not None:
+                state = _FileState(size=known.last_size)
+            elif op.post_size is not None and op.proc not in (
+                NfsProc.WRITE, NfsProc.SETATTR,
+            ):
+                state = _FileState(size=op.post_size)
+            else:
+                self.ops_skipped += 1
+                state = _FileState(size=op.post_size or 0)
+                self._files[op.fh] = state
+                return None
+            self._files[op.fh] = state
+        return state
+
+    def _birth(self, state, block, t, cause):
+        state.births[block] = t
+        if self._in_phase1(t):
+            self._total_births += 1
+            self._births_by_cause[cause] += 1
+
+    def _observe_write(self, op):
+        state = self._state(op)
+        if state is None or op.offset is None or op.count is None or op.count == 0:
+            return
+        pre_size = state.size
+        old_blocks = block_count(pre_size)
+        lseek_past_eof = op.offset > pre_size
+        if lseek_past_eof:
+            for block in range(old_blocks, block_of(op.offset)):
+                self._birth(state, block, op.time, BIRTH_EXTENSION)
+        for block in block_range(op.offset, op.count):
+            if block < old_blocks:
+                self._death(state, block, op.time, DEATH_OVERWRITE)
+                self._birth(state, block, op.time, BIRTH_WRITE)
+            else:
+                cause = BIRTH_EXTENSION if lseek_past_eof else BIRTH_WRITE
+                self._birth(state, block, op.time, cause)
+        state.size = max(pre_size, op.offset + op.count)
+        if op.post_size is not None:
+            state.size = max(state.size, op.post_size)
+
+    def _learn_size(self, op):
+        target = op.reply_fh or op.fh
+        if target is None or op.post_size is None:
+            return
+        state = self._files.get(target)
+        if state is None:
+            self._files[target] = _FileState(size=op.post_size)
+        elif op.proc is not NfsProc.READ:
+            state.size = max(state.size, op.post_size)
+
+
+class _ReferenceLifetimes(_ReferenceLifetimeSteps, BlockLifetimeAnalyzer):
+    def __init__(self, *phases):
+        super().__init__(*phases)
+        self.hierarchy = _ReferenceHierarchy()
+
+    def _death(self, state, block, t, cause):
+        birth = state.births.pop(block, None)
+        if birth is None:
+            return
+        if self._in_phase1(birth):
+            self._deaths.append((t - birth, cause))
+
+
+class _ReferenceStreamLifetimes(_ReferenceLifetimeSteps, StreamLifetimes):
+    def __init__(self, *phases, **kwargs):
+        super().__init__(*phases, **kwargs)
+        self.hierarchy = _ReferenceHierarchy()
+
+
+class _ReferenceNames(NameCategoryAnalyzer):
+    """``observe``, ``_observe_access`` and ``accessed_shares`` as
+    written before they were tuned."""
+
+    def __init__(self):
+        super().__init__()
+        self.hierarchy = _ReferenceHierarchy()
+
+    def observe(self, op):
+        if self._sorted_cache:
+            self._sorted_cache.clear()
+        if op.ok():
+            if op.proc is NfsProc.CREATE and op.reply_fh and op.name:
+                obs = self._file_for(op.reply_fh, op.name)
+                if obs.created_at is None:
+                    obs.created_at = op.time
+                if op.post_size is not None:
+                    obs.max_size = max(obs.max_size, op.post_size)
+            elif op.proc in (NfsProc.REMOVE, NfsProc.RMDIR) and op.fh and op.name:
+                victim = self.hierarchy.child(op.fh, op.name)
+                if victim is not None and victim in self._files:
+                    self._files[victim].deleted_at = op.time
+            elif op.proc is NfsProc.LOOKUP and op.reply_fh and op.name:
+                self._file_for(op.reply_fh, op.name)
+            if (op.is_read() or op.is_write()) and op.fh:
+                self._observe_access(op)
+        self.hierarchy.observe(op)
+
+    def _observe_access(self, op):
+        obs = self._files.get(op.fh)
+        if obs is None:
+            known = self.hierarchy.lookup(op.fh)
+            if known is None or known.name is None:
+                return
+            obs = self._file_for(op.fh, known.name)
+        if op.post_size is not None:
+            obs.max_size = max(obs.max_size, op.post_size)
+        if op.offset is None or op.count is None:
+            return
+        if obs._last_end is None or op.offset == obs._last_end:
+            obs.sequential_accesses += 1
+        else:
+            obs.nonsequential_accesses += 1
+        obs._last_end = op.offset + op.count
+
+    def accessed_shares(self, ops):
+        directories = self.hierarchy.known_directories()
+        seen = set()
+        census = Counter()
+        for op in ops:
+            for fh in (op.fh, op.reply_fh):
+                if fh is None or fh in seen or fh in directories:
+                    continue
+                known = self.hierarchy.lookup(fh)
+                if known is not None and known.ftype == "DIR":
+                    continue
+                seen.add(fh)
+                obs = self._files.get(fh)
+                if obs is not None:
+                    census[obs.category] += 1
+                elif known is not None and known.name is not None:
+                    census[classify_name(known.name)] += 1
+                else:
+                    census[CATEGORY_OTHER] += 1
+        total = sum(census.values())
+        if total == 0:
+            return {}
+        return {category: count / total for category, count in census.items()}
+
+
+class _ReferenceActivity(ActivityAnalyzer):
+    def observe(self, op):
+        index = int(op.time // SECONDS_PER_HOUR)
+        bucket = self._buckets.get(index)
+        if bucket is None:
+            bucket = HourBucket(start=index * SECONDS_PER_HOUR)
+            self._buckets[index] = bucket
+        bucket.ops += 1
+        if op.is_read() and op.ok():
+            bucket.read_ops += 1
+            bucket.read_bytes += op.count or 0
+        elif op.is_write() and op.ok():
+            bucket.write_ops += 1
+            bucket.write_bytes += op.count or 0
+
+
+def _reference_characterize(ops, start, end, *, peak_ops=None,
+                            lifetime_phase_end=None):
+    """``characterize`` as six passes, as written before the one pass."""
+    summary = summarize_trace(ops, start, end)
+    activity = _ReferenceActivity().observe_all(ops)
+    table5 = activity.table5(start, end)
+    mid = start + (end - start) / 2
+    phase2_end = lifetime_phase_end if lifetime_phase_end is not None else end
+    lifetime = _ReferenceLifetimes(start, mid, phase2_end).observe_all(ops)
+    life_report = lifetime.report()
+    names = _ReferenceNames().observe_all(ops)
+    shares = names.accessed_shares(peak_ops if peak_ops is not None else ops)
+    mailbox = total = 0
+    for o in ops:
+        if not o.ok() or not (o.is_read() or o.is_write()):
+            continue
+        nbytes = o.count or 0
+        total += nbytes
+        known = names.hierarchy.lookup(o.fh) if o.fh else None
+        if known is not None and known.name is not None:
+            if classify_name(known.name) == CATEGORY_MAILBOX:
+                mailbox += nbytes
+    return Characterization(
+        summary=summary,
+        metadata_fraction=summary.metadata_fraction,
+        rw_byte_ratio=summary.rw_byte_ratio,
+        rw_op_ratio=summary.rw_op_ratio,
+        peak_variance_reduction=table5.variance_reduction("total_ops"),
+        mailbox_file_share=shares.get(CATEGORY_MAILBOX, 0.0),
+        lock_file_share=shares.get(CATEGORY_LOCK, 0.0),
+        mailbox_byte_share=mailbox / total if total else 0.0,
+        median_block_lifetime=life_report.median_lifetime(),
+        fraction_blocks_dead_within_1s=life_report.fraction_dead_within(1.0),
+        death_overwrite_fraction=life_report.death_fraction(DEATH_OVERWRITE),
+        death_delete_fraction=life_report.death_fraction(DEATH_DELETE),
+        death_truncate_fraction=life_report.death_fraction(DEATH_TRUNCATE),
+    )
+
+
+#: few handles and names, so names bind, rebind and get removed, and
+#: written files are named; None is an op without that field
+_FHS = st.sampled_from(["d1", "d1", "d1", "d2", "f1", "f1", "f2", None])
+_FILE_NAMES = st.sampled_from([".inbox", ".inbox", ".inbox.lock", "notes", None])
+_SIZES = st.one_of(
+    st.none(), st.sampled_from([0, 0, 100, 8192, 8193, 20000, 65536]),
+    st.integers(min_value=0, max_value=2**17),
+)
+
+
+@st.composite
+def namespace_ops(draw, max_size=40):
+    """Random op streams over a small namespace: binds, removes and
+    renames of known and unknown names, data ops, failures, None
+    fields and repeated ``(time, client, xid)`` keys."""
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from([0.0, 0.0, 0.001, 0.4, 1.0, 30.0, 1800.0, 3600.0]),
+        st.sampled_from([
+            NfsProc.LOOKUP, NfsProc.LOOKUP, NfsProc.CREATE, NfsProc.CREATE,
+            NfsProc.MKDIR, NfsProc.SYMLINK, NfsProc.REMOVE, NfsProc.RMDIR,
+            NfsProc.RENAME, NfsProc.READ, NfsProc.READ, NfsProc.WRITE,
+            NfsProc.WRITE, NfsProc.WRITE, NfsProc.SETATTR, NfsProc.SETATTR,
+            NfsProc.GETATTR, NfsProc.ACCESS, NfsProc.COMMIT,
+        ]),
+        st.sampled_from([NfsStatus.OK] * 5 + [NfsStatus.NOENT, NfsStatus.IO]),
+        _FHS, _FILE_NAMES, _FHS,  # fh, name, reply_fh
+        st.sampled_from([None, None, "d1", "d2"]),  # target_fh
+        st.sampled_from([None, None, ".inbox", "notes"]),  # target_name
+        st.one_of(st.none(), st.sampled_from([0, 100, 8192, 16384]),
+                  st.integers(min_value=0, max_value=2**17)),  # offset
+        st.one_of(st.none(), st.sampled_from([0, 100, 8192, 8192]),
+                  st.integers(min_value=0, max_value=2**15)),  # count
+        _SIZES, _SIZES,  # size, post_size
+        st.sampled_from(["REG", "REG", "DIR", None]),
+        st.sampled_from([("c1", 1), ("c1", 1), ("c1", 2), ("c2", 1)]),
+    ), max_size=max_size))
+    ops, t = [], draw(st.sampled_from([0.0, 86000.0]))
+    for (gap, proc, status, fh, name, reply_fh, target_fh, target_name,
+         offset, count, size, post_size, ftype, (client, xid)) in rows:
+        t += gap
+        ops.append(op(
+            proc, t, fh, offset, count, status=status, name=name,
+            reply_fh=reply_fh, target_fh=target_fh, target_name=target_name,
+            size=size, post_size=post_size, post_ftype=ftype,
+            client=client, xid=xid,
+        ))
+    return ops
+
+
+def _phases_on_op_times(ops, data):
+    """Lifetime phases whose bounds fall on op times, so births and
+    deaths land exactly on them too."""
+    times = sorted({o.time for o in ops}) or [0.0]
+    p1_start = data.draw(st.sampled_from(times[:-1] or times), label="p1s")
+    p1_end = data.draw(st.sampled_from(
+        [t for t in times if t > p1_start] or [p1_start + 1.0]), label="p1e")
+    p2_end = data.draw(st.sampled_from(
+        [t for t in times if t >= p1_end] or [p1_end]), label="p2e")
+    return p1_start, p1_end, p2_end
+
+
+def _outcome(fn, *args, **kwargs):
+    """``repr`` of the result, or the error it raised."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _namespace_state(h):
+    return (repr(h._files), repr(h._entries), h.lookups_learned,
+            h.orphan_operations)
+
+
+def _lifetime_state(a):
+    return (repr(a._files), repr(a._deaths), repr(a._births_by_cause),
+            a._total_births, a.ops_skipped, _namespace_state(a.hierarchy))
+
+
+def _stream_lifetime_state(a):
+    return (_lifetime_state(a), repr(a._stream_deaths), a._overlong,
+            a._censored_alive, a.censored_files, a._hist.counts,
+            a._hist.overflow)
+
+
+def _name_state(a):
+    files = {fh: (repr(obs), obs._last_end) for fh, obs in a._files.items()}
+    return (files, _namespace_state(a.hierarchy))
+
+
+def _step_both(tuned, reference, o, state):
+    """Feed ``o`` to both; equal outcome and state, or the same error."""
+    outcomes = [_outcome(analyzer.observe, o) for analyzer in (tuned, reference)]
+    assert outcomes[0] == outcomes[1]
+    assert state(tuned) == state(reference)
+    return outcomes[0] == repr(None)
+
+
+class TestCharacterizeOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(namespace_ops(), st.data())
+    def test_one_pass_matches_the_multi_pass_composition(self, ops, data):
+        if data.draw(st.booleans(), label="shuffled"):
+            ops = data.draw(st.permutations(ops), label="order")
+        else:
+            ops.sort(key=call_order_key)
+        times = sorted(o.time for o in ops) or [0.0]
+        start = times[0]
+        # end just past the last op (one shared namespace), or below it
+        # (lifetimes keeps its own)
+        end = data.draw(st.sampled_from(
+            [times[-1] + 1e-6, times[-1] + 1e-6, times[len(times) // 2] + 1.0,
+             start + 0.5]), label="end")
+        phase_end = data.draw(st.sampled_from(
+            [None, None, end, times[len(times) // 2] + 1.0,
+             times[-1] + 10.0]), label="lifetime_phase_end")
+        peak = None
+        if data.draw(st.booleans(), label="peak"):
+            peak = [o for o in ops if data.draw(st.booleans())]
+        expected = _outcome(_reference_characterize, ops, start, end,
+                            peak_ops=peak, lifetime_phase_end=phase_end)
+        assert _outcome(characterize, ops, start, end, peak_ops=peak,
+                        lifetime_phase_end=phase_end) == expected
+        # the summary handed in (analyze's) gives the same answer
+        assert _outcome(characterize, ops, start, end, peak_ops=peak,
+                        lifetime_phase_end=phase_end,
+                        summary=summarize_trace(ops, start, end)) == expected
+
+    def test_victims_resolve_before_the_namespace_changes(self):
+        # the REMOVE's victim is found only while its name is still bound
+        ops = [
+            op(NfsProc.LOOKUP, 0.0, "d1", name=".inbox", reply_fh="f1",
+               post_size=0),
+            op(NfsProc.WRITE, 1.0, "f1", 0, 8192, post_size=8192),
+            op(NfsProc.REMOVE, 2.0, "d1", name=".inbox"),
+        ]
+        got = characterize(ops, 0.0, 10.0)
+        assert got.death_delete_fraction == 1.0
+        assert repr(got) == repr(_reference_characterize(ops, 0.0, 10.0))
+
+    def test_failed_data_ops_move_no_bytes(self):
+        # half the bytes that moved went to the mailbox; the failed
+        # WRITE to ``notes`` moved none
+        ops = [
+            op(NfsProc.LOOKUP, 0.0, "d1", name=".inbox", reply_fh="f1"),
+            op(NfsProc.LOOKUP, 0.0, "d1", name="notes", reply_fh="f2"),
+            op(NfsProc.WRITE, 1.0, "f1", 0, 8192),
+            op(NfsProc.READ, 2.0, "f2", 0, 8192),
+            op(NfsProc.WRITE, 3.0, "f2", 0, 8192, status=NfsStatus.IO),
+        ]
+        got = characterize(ops, 0.0, 10.0)
+        assert got.mailbox_byte_share == 0.5
+        assert repr(got) == repr(_reference_characterize(ops, 0.0, 10.0))
+
+    @pytest.mark.parametrize("end, phase_end", [(20.0, None), (60.0, 40.0)])
+    def test_namespace_is_not_shared_past_phase_two(self, end, phase_end):
+        # reply order: a LOOKUP past phase 2 names ``f9`` before an
+        # earlier REMOVE of that name arrives.  Lifetimes never sees the
+        # LOOKUP, so for it the REMOVE has no victim and f9's block
+        # outlives the window; the name census does see it
+        ops = [
+            op(NfsProc.WRITE, 1.0, "f9", 0, 8192, post_size=8192),
+            op(NfsProc.WRITE, 2.0, "f9", 8192, 8192, post_size=16384),
+            op(NfsProc.LOOKUP, 50.0, "d1", name="x", reply_fh="f9",
+               post_size=16384),
+            op(NfsProc.REMOVE, 3.0, "d1", name="x"),
+        ]
+        got = characterize(ops, 0.0, end, lifetime_phase_end=phase_end)
+        assert got.death_delete_fraction == 0.0
+        assert repr(got) == repr(_reference_characterize(
+            ops, 0.0, end, lifetime_phase_end=phase_end))
+
+    @settings(max_examples=200, deadline=None)
+    @given(namespace_ops())
+    def test_namespace_observe_matches_the_loop(self, ops):
+        tuned, reference = HierarchyReconstructor(), _ReferenceHierarchy()
+        for o in ops:
+            if not _step_both(tuned, reference, o, _namespace_state):
+                break
+
+    @settings(max_examples=200, deadline=None)
+    @given(namespace_ops(), st.data())
+    def test_lifetime_observe_matches_the_loop(self, ops, data):
+        phases = _phases_on_op_times(ops, data)
+        tuned = BlockLifetimeAnalyzer(*phases)
+        reference = _ReferenceLifetimes(*phases)
+        for o in ops:
+            if not _step_both(tuned, reference, o, _lifetime_state):
+                break
+        assert repr(tuned.report()) == repr(reference.report())
+
+    def test_births_and_deaths_on_the_phase_bounds(self):
+        # phase 1 is [10, 20): the block born at 10 counts and dies at
+        # 25; the one born at 20 does not count, nor does its death
+        ops = [
+            op(NfsProc.LOOKUP, 0.0, "d1", name="a", reply_fh="f1",
+               post_size=0),
+            op(NfsProc.WRITE, 10.0, "f1", 0, 8192, post_size=8192),
+            op(NfsProc.WRITE, 20.0, "f1", 8192, 8192, post_size=16384),
+            op(NfsProc.WRITE, 25.0, "f1", 0, 16384, post_size=16384),
+        ]
+        tuned = BlockLifetimeAnalyzer(10.0, 20.0, 40.0)
+        reference = _ReferenceLifetimes(10.0, 20.0, 40.0)
+        for o in ops:
+            _step_both(tuned, reference, o, _lifetime_state)
+        report = tuned.report()
+        assert (report.total_births, report.lifetimes) == (1, [15.0])
+        assert repr(report) == repr(reference.report())
+
+    @settings(max_examples=200, deadline=None)
+    @given(namespace_ops())
+    def test_name_observe_matches_the_loop(self, ops):
+        tuned, reference = NameCategoryAnalyzer(), _ReferenceNames()
+        for o in ops:
+            _step_both(tuned, reference, o, _name_state)
+        assert tuned.accessed_shares(ops) == reference.accessed_shares(ops)
+        assert list(tuned.accessed_shares(ops)) == list(
+            reference.accessed_shares(ops))
+        for attribute in ("size", "lifetime", "pattern"):
+            assert tuned.predict(attribute) == reference.predict(attribute)
+
+    @settings(max_examples=200, deadline=None)
+    @given(namespace_ops())
+    def test_activity_observe_matches_the_loop(self, ops):
+        tuned, reference = ActivityAnalyzer(), _ReferenceActivity()
+        for o in ops:
+            tuned.observe(o)
+            reference.observe(o)
+            assert repr(tuned._buckets) == repr(reference._buckets)
+
+    @settings(max_examples=200, deadline=None)
+    @given(namespace_ops(), st.sampled_from([1, 2, 100_000]), st.data())
+    def test_stream_lifetimes_match_their_old_results(self, ops, max_files,
+                                                      data):
+        phases = _phases_on_op_times(ops, data)
+        tuned = StreamLifetimes(*phases, max_files=max_files)
+        reference = _ReferenceStreamLifetimes(*phases, max_files=max_files)
+        for o in ops:
+            if not _step_both(tuned, reference, o, _stream_lifetime_state):
+                break
+        got, want = tuned.result(), reference.result()
+        assert got.histogram.counts == want.histogram.counts
+        got.histogram = want.histogram = None
+        assert repr(got) == repr(want)

@@ -231,16 +231,6 @@ class TestPhaseTimer:
         assert timer.entries["sim"] == 2
         assert timer.total == pytest.approx(3.0)
 
-    def test_write_json(self, tmp_path):
-        ticks = iter([0.0, 2.0])
-        timer = PhaseTimer(clock=lambda: next(ticks))
-        with timer.phase("analyze"):
-            pass
-        out = timer.write_json(tmp_path / "t.json", bench="x")
-        data = json.loads(out.read_text())
-        assert data["bench"] == "x"
-        assert data["phases"][0] == {"name": "analyze", "seconds": 2.0, "entries": 1}
-
 
 class TestSystemIntegration:
     def _run(self, seed=11, hours=30):
