@@ -214,9 +214,9 @@ def gate_bench(shared: Shared):
     """The scaled-down campus bench, held against the committed baseline.
 
     On the shared bench trace: text and binary encode and decode,
-    ``parallel_pair`` at ``jobs`` 1 and 2, and one streaming pass, whose
-    ``tracemalloc`` peak against the materialize-everything pipeline's
-    gives ``stream_mem_ratio``.  Each :data:`GATED` metric must stay
+    ``parallel_pair`` at ``jobs`` 1 (the serial pass) and 2, and one
+    streaming pass, whose ``tracemalloc`` peak against the
+    materialize-everything pipeline's gives ``stream_mem_ratio``.  Each :data:`GATED` metric must stay
     within :data:`TOLERANCE` of ``BENCH_smoke_baseline.json``; the wide
     margin absorbs runner noise.  Absolute seconds are recorded for
     humans but never gated.
@@ -453,8 +453,9 @@ def gate_speedup(shared: Shared):
     """Parallel pairing must pay, and binary encode must beat text.
 
     On the shared bench trace, fails when any ``speedup_N`` (N in
-    {2, 4}: best-of-3 ``parallel_pair`` walls, jobs N against jobs 1,
-    identical results required) lands below its floor —
+    {2, 4}: best-of-3 ``parallel_pair`` walls, the fan-out over N jobs
+    against the serial pass that jobs 1 runs, identical results
+    required) lands below its floor —
     :data:`SPEEDUP_FLOOR` on runners with >= N cores (GitHub's hosted
     ``ubuntu-latest`` runners have 4 vCPUs, so both floors are 1.0
     there), :data:`OVERSUBSCRIBED_FLOOR` otherwise — or when the binary

@@ -35,6 +35,7 @@ from repro.analysis.pairing import (
     StreamPairer,
     pair_all,
     pair_records,
+    pair_trace,
 )
 from repro.analysis.parallel import ChunkSpec, parallel_pair, plan_chunks
 from repro.analysis.hierarchy import HierarchyReconstructor
@@ -63,6 +64,7 @@ __all__ = [
     "PairedOp",
     "pair_records",
     "pair_all",
+    "pair_trace",
     "PairingStats",
     "StreamPairer",
     "ChunkSpec",

@@ -8,7 +8,8 @@ timeout was either dropped on the mirror or never answered.
 
 :class:`StreamPairer` is the one pairing state machine: batch pairing,
 the streaming engine and the chunked fan-out in
-:mod:`repro.analysis.parallel` all drive it.  Its rules:
+:mod:`repro.analysis.parallel` all drive it, and :func:`pair_trace` is
+the one serial pass from a trace file to call-ordered ops.  Its rules:
 
 * a call whose key is already outstanding is a retransmission: the
   earlier call is charged as unanswered and the newest one kept;
@@ -32,6 +33,7 @@ from typing import Iterable, Iterator
 from repro.nfs.messages import NfsStatus
 from repro.nfs.procedures import NfsProc
 from repro.obs.gcpause import paused_gc
+from repro.trace.reader import TraceReader
 from repro.trace.record import Direction, TraceRecord
 
 #: A reply arriving this long after its call is assumed lost (the
@@ -91,8 +93,9 @@ class PairedOp:
         return self.proc is NfsProc.WRITE
 
 
-#: Call-time order, ``(time, client, xid)``: how ``parallel_pair`` lists
-#: ops and batch analyses read them (the pairer emits reply order).
+#: Call-time order, ``(time, client, xid)``: how :func:`pair_trace` and
+#: ``parallel_pair`` list ops and batch analyses read them (the pairer
+#: emits reply order).
 call_order_key = attrgetter("time", "client", "xid")
 
 
@@ -152,17 +155,31 @@ def pair_records(
     pairer.close()
 
 
-def pair_all(records: Iterable[TraceRecord]) -> tuple[list[PairedOp], PairingStats]:
+def pair_all(
+    records: Iterable[TraceRecord], *, spans=None
+) -> tuple[list[PairedOp], PairingStats]:
     """Convenience: pair everything into a list, returning stats too.
 
     Cyclic GC is paused while the list materializes: pairing a week of
     trace allocates hundreds of thousands of acyclic PairedOps whose
     generation-2 rescans roughly double the wall time otherwise.
     """
-    pairer = StreamPairer()
+    pairer = StreamPairer(spans=spans)
     with paused_gc():
         ops = [op for op in map(pairer.push, records) if op is not None]
     return ops, pairer.close()
+
+
+def pair_trace(path, *, spans=None) -> tuple[list[PairedOp], PairingStats]:
+    """The serial pass: pair a trace file in file order; ``(ops,
+    stats)`` with the ops in call-time order.  Every batch command's
+    op source, and the fan-out's reference.  Pass a *buffered*
+    :class:`~repro.obs.spans.SpanRecorder` for verdict spans."""
+    with TraceReader(path) as reader:
+        ops, stats = pair_all(reader, spans=spans)
+    with paused_gc():
+        ops.sort(key=call_order_key)
+    return ops, stats
 
 
 class StreamPairer:

@@ -3,14 +3,14 @@
 Decode + pairing dominate analysis wall time, and both parallelize:
 the trace is split into *content-derived* chunks (boundaries nudged so
 records sharing one timestamp stay together), each chunk is decoded
-and paired by a worker, and a deterministic merge resolves the
+and paired by a pool worker, and a deterministic merge resolves the
 call/reply pairs that straddle chunk boundaries.  Workers and merge
 run the one :class:`~repro.analysis.pairing.StreamPairer`.
 
-Chunk planning depends only on the trace — never on the worker count —
-so ``jobs=1`` and ``jobs=N`` walk identical chunk lists through
-identical merge code and produce identical results, byte for byte.
-``jobs=1`` runs the same code path inline without a pool.
+``jobs=1`` and a one-chunk plan run the serial pass,
+:func:`~repro.analysis.pairing.pair_trace`, which the fan-out
+reproduces byte for byte: the plan never depends on the worker count,
+and an unsorted trace is planned as one chunk.
 
 The fan-out is built to keep the *parent's* serial section small,
 because that is what Amdahl charges for:
@@ -78,6 +78,7 @@ from repro.analysis.pairing import (
     PairingStats,
     StreamPairer,
     call_order_key,
+    pair_trace,
 )
 
 #: Nominal records per chunk when a fixed size is requested.  The
@@ -105,8 +106,7 @@ class ChunkSpec:
 
     ``offset``/``nbytes`` are in *decompressed* stream coordinates for
     ``.gz`` inputs (workers seek through the gzip stream).  For binary
-    traces the string table as of ``offset`` comes either inline
-    (``strings``) or — when planned for a pool — as the first
+    traces the string table as of ``offset`` is the first
     ``table_count`` entries of the shared side file ``table``, which
     workers read and cache instead of unpickling a snapshot per chunk.
     """
@@ -116,7 +116,6 @@ class ChunkSpec:
     offset: int
     nbytes: int
     records: int
-    strings: tuple[str, ...] = ()
     table: str | None = None
     table_count: int = 0
 
@@ -139,7 +138,7 @@ class PairedChunk:
     #: the chunk pairer's buffered verdict spans (sampled ops only)
     spans: list
     wall_seconds: float = 0.0
-    #: pool mode: ops travel as a segment file (its path), not in ``ops``
+    #: the ops travel back as a segment file (its path), not in ``ops``
     segment: str | None = None
 
     @property
@@ -154,25 +153,32 @@ class PairedChunk:
 
 
 def plan_chunks(
-    path: str | Path, *, chunk_records: int | None = DEFAULT_CHUNK_RECORDS
+    path: str | Path,
+    table_dir: str | Path,
+    *,
+    chunk_records: int | None = DEFAULT_CHUNK_RECORDS,
 ) -> list[ChunkSpec]:
     """Index a trace into chunk specs (content-derived boundaries).
 
     ``chunk_records=None`` auto-tunes the chunk size from the trace's
-    record count; an explicit value is honored exactly.
+    record count; an explicit value is honored exactly.  A binary
+    trace's string table is spooled into ``table_dir``.  A trace whose
+    times ever decrease is planned as one chunk.
     """
-    return _plan(str(path), chunk_records, table_dir=None)
+    return _plan(str(path), chunk_records, str(table_dir))
 
 
-def _plan(
-    path: str, chunk_records: int | None, table_dir: str | None
-) -> list[ChunkSpec]:
+def _plan(path: str, chunk_records: int | None, table_dir: str) -> list[ChunkSpec]:
     auto = chunk_records is None
     granule = _AUTO_GRANULE if auto else chunk_records
     if is_binary_trace_path(path):
-        specs = _plan_binary(path, granule, table_dir)
+        specs, ordered = _plan_binary(path, granule, table_dir)
     else:
-        specs = _plan_text(path, granule)
+        specs, ordered = _plan_text(path, granule)
+    if not ordered:
+        # the merge replays leftovers in time order, the serial pass
+        # goes in file order: only one chunk pairs unsorted input alike
+        return _coalesce(specs, float("inf"))
     if not auto or len(specs) <= 1:
         return specs
     total = sum(spec.records for spec in specs)
@@ -210,6 +216,8 @@ class _TableWriter:
 
     def __init__(self, directory: str) -> None:
         self.path = str(Path(directory) / "strings.tbl")
+        # a plan into a directory used before rewrites its table
+        _TABLE_CACHE.pop(self.path, None)
         self._file = open(self.path, "wb")
         self.count = 0
 
@@ -223,16 +231,16 @@ class _TableWriter:
 
 
 def _plan_binary(
-    path: str, chunk_records: int, table_dir: str | None = None
-) -> list[ChunkSpec]:
+    path: str, chunk_records: int, table_dir: str
+) -> tuple[list[ChunkSpec], bool]:
     # A light frame scan: no record objects, just frame heads, string
-    # payloads (future chunk seeds) and each record's leading f64 time.
+    # payloads (spooled for the workers) and each record's leading f64
+    # time.  Returns the specs and whether the times never decrease.
     frame_head = _FRAME_HEAD
     frame_head_size = frame_head.size
     unpack_time = _TIME_STRUCT.unpack_from
     specs: list[ChunkSpec] = []
-    strings: list[str] = []
-    table = _TableWriter(table_dir) if table_dir is not None else None
+    table = _TableWriter(table_dir)
     fileobj = open_binary_for_read(path)
     try:
         offset = read_trace_header(fileobj)
@@ -240,28 +248,20 @@ def _plan_binary(
         chunk_strings = 0  # string count at chunk_start
         count = 0
         last_time = None
+        ordered = True
         file_read = fileobj.read
         chunk_size = 1 << 20
         buf = b""
         pos = 0
 
         def emit() -> None:
-            if table is None:
-                specs.append(
-                    ChunkSpec(
-                        path=path, binary=True, offset=chunk_start,
-                        nbytes=offset - chunk_start, records=count,
-                        strings=tuple(strings[:chunk_strings]),
-                    )
+            specs.append(
+                ChunkSpec(
+                    path=path, binary=True, offset=chunk_start,
+                    nbytes=offset - chunk_start, records=count,
+                    table=table.path, table_count=chunk_strings,
                 )
-            else:
-                specs.append(
-                    ChunkSpec(
-                        path=path, binary=True, offset=chunk_start,
-                        nbytes=offset - chunk_start, records=count,
-                        table=table.path, table_count=chunk_strings,
-                    )
-                )
+            )
 
         while True:
             if len(buf) - pos < frame_head_size:
@@ -287,25 +287,18 @@ def _plan_binary(
                     raise TraceFormatError("truncated frame payload")
             if tag == _RECORD_TAG:
                 (when,) = unpack_time(buf, body)
+                if last_time is not None and when < last_time:
+                    ordered = False
                 if count >= chunk_records and when != last_time:
                     emit()
                     chunk_start = offset
-                    chunk_strings = (
-                        len(strings) if table is None else table.count
-                    )
+                    chunk_strings = table.count
                     count = 0
                 count += 1
                 last_time = when
             elif tag == _STRING_TAG:
-                data = buf[body:end]
-                if table is None:
-                    try:
-                        strings.append(data.decode("utf-8"))
-                    except UnicodeDecodeError as exc:
-                        raise TraceFormatError("corrupt string frame") from exc
-                else:
-                    # workers decode; the planner only spools the bytes
-                    table.add(data)
+                # workers decode; the planner only spools the bytes
+                table.add(buf[body:end])
             else:
                 raise TraceFormatError(f"unknown frame tag 0x{tag:02x}")
             offset += frame_head_size + length
@@ -315,10 +308,9 @@ def _plan_binary(
     except _CONTAINER_ERRORS as exc:
         raise TraceFormatError(f"corrupt compressed container: {exc}") from exc
     finally:
-        if table is not None:
-            table.close()
+        table.close()
         fileobj.close()
-    return specs
+    return specs, ordered
 
 
 def _open_raw(path: str):
@@ -350,12 +342,13 @@ def _spool_gz(path: str, workdir: str) -> str:
     return str(out)
 
 
-def _plan_text(path: str, chunk_records: int) -> list[ChunkSpec]:
+def _plan_text(path: str, chunk_records: int) -> tuple[list[ChunkSpec], bool]:
     specs: list[ChunkSpec] = []
     offset = 0
     chunk_start = 0
     count = 0
     last_time = None
+    ordered = True
     try:
         with _open_raw(path) as fileobj:
             for line in fileobj:
@@ -365,6 +358,8 @@ def _plan_text(path: str, chunk_records: int) -> list[ChunkSpec]:
                         when = float(stripped.split(b" ", 1)[0])
                     except ValueError:
                         when = last_time  # malformed: the worker will complain
+                    if last_time is not None and when < last_time:
+                        ordered = False
                     if count >= chunk_records and when != last_time:
                         specs.append(
                             ChunkSpec(
@@ -392,7 +387,7 @@ def _plan_text(path: str, chunk_records: int) -> list[ChunkSpec]:
                 records=count,
             )
         )
-    return specs
+    return specs, ordered
 
 
 #: Per-process cache of shared string tables: path -> loaded strings.
@@ -433,12 +428,9 @@ def decode_chunk(spec: ChunkSpec) -> list[TraceRecord]:
         with open_binary_for_read(spec.path) as fileobj:
             fileobj.seek(spec.offset)
             payload = fileobj.read(spec.nbytes)
-        if spec.table is not None:
-            strings: Iterable[str] = _table_prefix(spec.table, spec.table_count)
-        else:
-            strings = spec.strings
         decoder = BinaryTraceDecoder(
-            io.BytesIO(payload), expect_header=False, strings=strings
+            io.BytesIO(payload), expect_header=False,
+            strings=_table_prefix(spec.table, spec.table_count),
         )
         with paused_gc():
             return list(decoder)
@@ -465,10 +457,7 @@ def pair_chunk(spec: ChunkSpec, sample: float = 0.0) -> PairedChunk:
     ``sample`` is the span sampling rate: a positive rate makes the
     chunk pairer record verdict spans for the merge to adopt.
     """
-    started = _time.perf_counter()
-    partial = _pair_partial(decode_chunk(spec), sample=sample)
-    partial.wall_seconds = _time.perf_counter() - started
-    return partial
+    return _pair_partial(decode_chunk(spec), sample=sample)
 
 
 def _pair_chunk_segment(
@@ -482,7 +471,7 @@ def _pair_chunk_segment(
     index, spec = item
     started = _time.perf_counter()
     with paused_gc():
-        partial = _pair_partial(decode_chunk(spec), sample=sample)
+        partial = pair_chunk(spec, sample)
         ops = partial.ops
         ops.sort(key=call_order_key)
         payload = encode_ops(ops)
@@ -521,7 +510,7 @@ def _merge_boundaries(
 
     It replays every chunk's tail calls, deferred replies and recent
     pairs in time order, so boundary-straddling pairs, duplicates and
-    orphans get a sequential pass's verdicts; its calls still
+    orphans get the serial pass's verdicts; its calls still
     outstanding at the end are unanswered.  Returns the whole trace's
     stats and the boundary ops.
     """
@@ -532,7 +521,7 @@ def _merge_boundaries(
         for record in partial.tail_calls + partial.deferred:
             events.append((_leftover_sort_key(record), record))
         for (client, xid), when in partial.recent.items():
-            events.append(((when, 1, client, xid), None))
+            events.append(((when, 0, client, xid), None))
         if spans is not None:
             spans.adopt(partial.spans)
     events.sort(key=itemgetter(0))
@@ -553,10 +542,13 @@ def _merge_boundaries(
 
 
 def _leftover_sort_key(record: TraceRecord):
-    # calls before replies at equal times, then stable identity order
+    # Replies (and recent-pair notes) before calls at equal times: the
+    # planner never splits equal times, so in file order a leftover
+    # reply came before any leftover call of its time, which would
+    # otherwise have answered it.
     return (
         record.time,
-        0 if record.direction == Direction.CALL else 1,
+        1 if record.direction == Direction.CALL else 0,
         record.client,
         record.xid,
     )
@@ -593,22 +585,20 @@ def parallel_pair(
 ) -> tuple[list[PairedOp], PairingStats]:
     """Pair a whole trace, fanning chunks over a process pool.
 
-    Returns ``(ops, stats)`` like
-    :func:`repro.analysis.pairing.pair_all`.  Results are identical for
-    every ``jobs`` value: the chunk plan is content-derived
-    (``chunk_records=None`` auto-tunes it from the record count) and
-    the merge is deterministic — per-chunk op streams arrive key-sorted
-    and the k-way merge ties break in chunk order, exactly like the
-    stable sort of the concatenated lists that ``jobs=1`` performs.
-    Boundary-crossing pairs are resolved by a final pairing pass over
-    each chunk's tail calls and deferred replies; anything still
-    unmatched is charged as capture loss.
+    Returns ``(ops, stats)`` exactly as the serial pass
+    :func:`~repro.analysis.pairing.pair_trace` does, which ``jobs=1``
+    and a one-chunk plan run.  Otherwise the chunk plan is
+    content-derived (``chunk_records=None`` auto-tunes it from the
+    record count), each worker pairs and key-sorts one chunk, a final
+    pairing pass settles the chunks' leftovers (anything still
+    unmatched is capture loss), and a k-way merge lists the ops.
 
     With a *buffered* :class:`~repro.obs.spans.SpanRecorder` every
     chunk pairer records its verdict spans, which travel back with the
     chunk and join the merge's own; the recorder's canonical close
     order makes the exported span stream byte-identical to the serial
-    and streaming pairers'.
+    and streaming pairers'.  ``metrics`` gets ``analysis.pool.*`` (the
+    serial pass as one job running one chunk).
 
     ``jobs`` below 1 raises :class:`ValueError`.  A pool worker that
     dies raises :class:`~repro.errors.WorkerDiedError`.
@@ -616,33 +606,30 @@ def parallel_pair(
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
     started = _time.perf_counter()
-    sample = spans.sample if spans is not None else 0.0
     path = str(path)
-    workdir: str | None = None
-    specs: list[ChunkSpec] = []
-    pool_size = 1
+    workdir = tempfile.mkdtemp(prefix="repro-pair-") if jobs > 1 else None
     try:
-        if jobs > 1 or path.endswith(".gz"):
-            workdir = tempfile.mkdtemp(prefix="repro-pair-")
-        plan_path = _spool_gz(path, workdir) if path.endswith(".gz") else path
-        specs = _plan(
-            plan_path, chunk_records, table_dir=workdir if jobs > 1 else None
-        )
-        fanout = jobs > 1 and len(specs) > 1
-        if fanout:
+        specs: list[ChunkSpec] = []
+        if workdir is not None:
+            if path.endswith(".gz"):
+                path = _spool_gz(path, workdir)
+            specs = _plan(path, chunk_records, workdir)
+        if len(specs) < 2:  # jobs=1 or a one-chunk plan: the serial pass
+            pass_started = _time.perf_counter()
+            ops, stats = pair_trace(path, spans=spans)
+            pool_size, chunk_seconds = 1, [_time.perf_counter() - pass_started]
+        else:
+            sample = spans.sample if spans is not None else 0.0
             with paused_gc():
                 partials, pool_size = _map_chunks(
                     specs, jobs=jobs, sample=sample, workdir=workdir
                 )
-        else:
-            partials = [pair_chunk(spec, sample) for spec in specs]
-        stats, boundary_ops = _merge_boundaries(partials, spans)
-        with paused_gc():
-            if fanout:
+            stats, boundary_ops = _merge_boundaries(partials, spans)
+            with paused_gc():
                 # Streaming k-way merge-decode: each chunk's segment is
-                # already key-sorted, the sorted boundary ops go last so
-                # equal keys resolve (chunk order, then boundary) exactly
-                # as the stable concat-sort below resolves them.
+                # already key-sorted, the sorted boundary ops go last, so
+                # equal keys resolve in chunk order and then boundary:
+                # reply order, as the serial pass's stable sort does.
                 streams = [
                     decode_ops(repro_parallel.claim_segment(p.segment))
                     for p in partials
@@ -651,29 +638,21 @@ def parallel_pair(
                     boundary_ops.sort(key=call_order_key)
                     streams.append(iter(boundary_ops))
                 ops = list(heapq.merge(*streams, key=call_order_key))
-            else:
-                ops = sorted(
-                    (op for partial in partials for op in partial.ops),
-                    key=call_order_key,
-                )
-                if boundary_ops:
-                    ops.extend(boundary_ops)
-                    ops.sort(key=call_order_key)
+            chunk_seconds = [p.wall_seconds for p in partials]
     finally:
         if workdir is not None:
             shutil.rmtree(workdir, ignore_errors=True)
 
     if metrics is not None:
         wall = _time.perf_counter() - started
-        busy = sum(p.wall_seconds for p in partials)
         metrics.gauge("analysis.pool.jobs").set(pool_size)
-        metrics.gauge("analysis.pool.chunks").set(len(specs))
+        metrics.gauge("analysis.pool.chunks").set(len(chunk_seconds))
         metrics.gauge("analysis.pool.utilization").set(
-            busy / (pool_size * wall) if wall > 0 else 0.0
+            sum(chunk_seconds) / (pool_size * wall) if wall > 0 else 0.0
         )
         chunk_hist = metrics.histogram("analysis.pool.chunk_seconds")
-        for partial in partials:
-            chunk_hist.observe(partial.wall_seconds)
+        for seconds in chunk_seconds:
+            chunk_hist.observe(seconds)
         metrics.counter("analysis.pool.records").inc(stats.calls + stats.replies)
         metrics.counter("analysis.pool.ops").inc(len(ops))
     return ops, stats

@@ -24,7 +24,7 @@ from repro.analysis.lifetimes import (
     DEATH_TRUNCATE,
     BlockLifetimeAnalyzer,
 )
-from repro.analysis.pairing import call_order_key, pair_all
+from repro.analysis.pairing import pair_trace
 from repro.analysis.reorder import reorder_window_sort
 from repro.analysis.runs import RunBuilder, classify_runs
 from repro.analysis.summary import summarize_trace
@@ -1297,16 +1297,10 @@ def cmd_anonymize(args) -> int:
     return 0
 
 
-def _pair_trace(path):
-    """Pair a whole trace file; ``(ops, stats)`` with the ops in
-    call-time order, as ``parallel_pair`` lists them, erroring when
-    empty."""
-    with TraceReader(path) as reader:
-        ops, stats = pair_all(reader)
+def _require_ops(ops, path) -> None:
+    """The error every batch command gives a trace where nothing pairs."""
     if not ops:
         raise ValueError(f"no pairable operations in {path}")
-    ops.sort(key=call_order_key)
-    return ops, stats
 
 
 def _stream_trace(path, analyses, *, metrics=None, spans=None):
@@ -1415,7 +1409,8 @@ def _stream_runs(args) -> StreamRuns:
 
 def cmd_lifetimes(args) -> int:
     """Print Table 4 numbers and a Figure 3-style CDF."""
-    ops, _stats = _pair_trace(args.input)
+    ops, _stats = pair_trace(args.input)
+    _require_ops(ops, args.input)
     phase1_start = args.phase1_start
     phase2_end = (
         args.phase2_end if args.phase2_end is not None else ops[-1].time
@@ -1478,19 +1473,22 @@ def _report_text(input_path, ops, start, end, summary=None) -> str:
 def cmd_report(args) -> int:
     """Print the full Table 1-style characterization."""
     _window(args)
-    ops, _stats = _pair_trace(args.input)
+    ops, _stats = pair_trace(args.input)
+    _require_ops(ops, args.input)
     start, end = _window(args, ops)
     print(_report_text(args.input, ops, start, end))
     return 0
 
 
 def cmd_analyze(args) -> int:
-    """Run the whole analysis suite off one (parallel) pairing pass.
+    """Run the whole analysis suite off one pairing pass.
 
-    Pairing is the expensive part, so it happens exactly once — via
-    :func:`repro.analysis.parallel.parallel_pair`, fanned over
-    ``--jobs`` worker processes — and its operation list, in call-time
-    order like ``_pair_trace``'s, feeds the summary, run-pattern, and
+    Pairing is the expensive part, so it happens exactly once, via
+    :func:`repro.analysis.parallel.parallel_pair`: at ``--jobs 1`` the
+    serial pass every batch command reads
+    (:func:`~repro.analysis.pairing.pair_trace`), at ``--jobs N`` the
+    same ops fanned over N worker processes.  The call-ordered
+    operation list feeds the summary, run-pattern, and
     characterization reports; the characterization reuses the printed
     summary.  Output is byte-identical for every ``--jobs`` value.
     """
@@ -1507,8 +1505,7 @@ def cmd_analyze(args) -> int:
         ops, stats = parallel_pair(
             args.input, jobs=args.jobs, metrics=metrics, spans=spans
         )
-        if not ops:
-            raise ValueError(f"no pairable operations in {args.input}")
+        _require_ops(ops, args.input)
         start, end = _window(args, ops)
         summary = summarize_trace(ops, start, end)
         print(_summary_text(args.input, summary, stats))
@@ -1623,7 +1620,8 @@ def cmd_names(args) -> int:
     """Print name-category census and prediction accuracies."""
     from repro.analysis.names import NameCategoryAnalyzer
 
-    ops, _stats = _pair_trace(args.input)
+    ops, _stats = pair_trace(args.input)
+    _require_ops(ops, args.input)
     analyzer = NameCategoryAnalyzer().observe_all(ops)
     census = analyzer.category_census()
     total = sum(census.values()) or 1
@@ -1726,7 +1724,8 @@ def cmd_characterize(args) -> int:
     """Fit a scenario-spec skeleton to a trace (the synthetic twin)."""
     from repro.scenarios import fit_scenario
 
-    ops, _stats = _pair_trace(args.input)
+    ops, _stats = pair_trace(args.input)
+    _require_ops(ops, args.input)
     spec = fit_scenario(ops, name=args.name)
     text = spec.spec() + "\n"
     if args.out:

@@ -203,10 +203,11 @@ def _stream_pairer(records, _tmp_path):
 
 
 def _parallel(chunk_records):
+    # through the pool: at jobs=1 parallel_pair is the serial pass
     def run(records, tmp_path):
         path = tmp_path / "records.rtb"
         write_trace(path, records)
-        return parallel_pair(path, chunk_records=chunk_records)
+        return parallel_pair(path, jobs=2, chunk_records=chunk_records)
     return run
 
 

@@ -1,10 +1,16 @@
-"""Tests for the chunked parallel decode+pair runner."""
+"""Tests for the chunked parallel decode+pair runner.
+
+``jobs=1`` (and a one-chunk plan) is the serial pass, ``pair_trace``,
+so every chunk-boundary case here runs through the pool (``jobs`` of
+2 or more) and is held to that pass.
+"""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.analysis.pairing import pair_all
+from repro.analysis.pairing import pair_all, pair_trace
 from repro.analysis.parallel import (
     DEFAULT_CHUNK_RECORDS,
     decode_chunk,
@@ -15,7 +21,7 @@ from repro.nfs import NfsProc, NfsStatus
 from repro.obs import MetricsRegistry
 from repro.obs.eventlog import EventLog
 from repro.obs.spans import SpanRecorder
-from repro.trace import read_trace, write_trace
+from repro.trace import TraceWriter, read_trace, write_trace
 from repro.trace.record import Direction, TraceRecord
 
 
@@ -61,6 +67,14 @@ def make_stream(n_pairs=300, orphan_replies=2, unanswered_calls=2):
     return records
 
 
+def write_in_file_order(path, records):
+    """Write ``records`` as given: with no sort window each record is
+    flushed as it arrives, so unsorted input stays unsorted."""
+    with TraceWriter(path, sort_window=0.0) as writer:
+        for record in records:
+            writer.write(record)
+
+
 @pytest.fixture(scope="module", params=["stream.trace", "stream.rtb"])
 def trace_path(request, tmp_path_factory):
     path = tmp_path_factory.mktemp("parallel") / request.param
@@ -69,50 +83,78 @@ def trace_path(request, tmp_path_factory):
 
 
 class TestPlanChunks:
-    def test_chunks_cover_every_record(self, trace_path):
-        specs = plan_chunks(trace_path, chunk_records=64)
+    def test_chunks_cover_every_record(self, trace_path, tmp_path):
+        specs = plan_chunks(trace_path, tmp_path, chunk_records=64)
         assert len(specs) > 3
         assert sum(s.records for s in specs) == len(make_stream())
 
-    def test_chunks_are_contiguous(self, trace_path):
-        specs = plan_chunks(trace_path, chunk_records=64)
+    def test_chunks_are_contiguous(self, trace_path, tmp_path):
+        specs = plan_chunks(trace_path, tmp_path, chunk_records=64)
         for a, b in zip(specs, specs[1:]):
             assert a.offset + a.nbytes == b.offset
 
-    def test_boundaries_never_split_equal_times(self, trace_path):
-        specs = plan_chunks(trace_path, chunk_records=64)
+    def test_boundaries_never_split_equal_times(self, trace_path, tmp_path):
+        specs = plan_chunks(trace_path, tmp_path, chunk_records=64)
         chunks = [decode_chunk(s) for s in specs]
         for a, b in zip(chunks, chunks[1:]):
             assert a[-1].time != b[0].time
 
-    def test_decoded_chunks_reassemble_the_trace(self, trace_path):
-        specs = plan_chunks(trace_path, chunk_records=64)
+    def test_decoded_chunks_reassemble_the_trace(self, trace_path, tmp_path):
+        specs = plan_chunks(trace_path, tmp_path, chunk_records=64)
         rebuilt = [r for s in specs for r in decode_chunk(s)]
         assert rebuilt == read_trace(trace_path)
 
-    def test_one_chunk_for_small_traces(self, trace_path):
-        specs = plan_chunks(trace_path, chunk_records=DEFAULT_CHUNK_RECORDS)
+    def test_one_chunk_for_small_traces(self, trace_path, tmp_path):
+        specs = plan_chunks(
+            trace_path, tmp_path, chunk_records=DEFAULT_CHUNK_RECORDS
+        )
         assert len(specs) == 1
         assert specs[0].records == len(make_stream())
+
+    def test_a_reused_table_dir_decodes_the_new_trace(self, tmp_path):
+        first = [replace(r, client="10.0.9.9") for r in make_stream(100)]
+        second = make_stream(100)
+        write_trace(tmp_path / "first.rtb", first)
+        write_trace(tmp_path / "second.rtb", second)
+        for name, records in (("first.rtb", first), ("second.rtb", second)):
+            specs = plan_chunks(tmp_path / name, tmp_path, chunk_records=64)
+            assert [r for s in specs for r in decode_chunk(s)] == records
+
+    @pytest.mark.parametrize("name", ["unsorted.trace", "unsorted.rtb"])
+    def test_one_chunk_for_unsorted_traces(self, tmp_path, name):
+        records = make_stream()
+        records[100], records[101] = records[101], records[100]
+        assert records[100].time > records[101].time
+        path = tmp_path / name
+        write_in_file_order(path, records)
+        specs = plan_chunks(path, tmp_path, chunk_records=64)
+        assert len(specs) == 1
+        assert specs[0].records == len(records)
+        assert decode_chunk(specs[0]) == records
 
 
 class TestParallelPair:
     def test_jobs_do_not_change_results(self, trace_path):
-        ops1, stats1 = parallel_pair(trace_path, jobs=1, chunk_records=64)
+        ops1, stats1 = parallel_pair(trace_path, jobs=1)
         ops3, stats3 = parallel_pair(trace_path, jobs=3, chunk_records=64)
         assert ops1 == ops3
         assert stats1 == stats3
 
+    def test_jobs_1_is_the_serial_pass(self, trace_path):
+        assert parallel_pair(trace_path, jobs=1, chunk_records=64) == (
+            pair_trace(trace_path)
+        )
+
     def test_chunking_does_not_change_results(self, trace_path):
         # one big chunk vs many small ones: same pairs, same accounting
-        ops_one, stats_one = parallel_pair(trace_path, jobs=1)
-        ops_many, stats_many = parallel_pair(trace_path, jobs=1,
+        ops_one, stats_one = parallel_pair(trace_path, jobs=2)
+        ops_many, stats_many = parallel_pair(trace_path, jobs=2,
                                              chunk_records=32)
         assert ops_one == ops_many
         assert stats_one == stats_many
 
     def test_matches_sequential_pairing(self, trace_path):
-        ops, stats = parallel_pair(trace_path, jobs=1, chunk_records=64)
+        ops, stats = parallel_pair(trace_path, jobs=2, chunk_records=64)
         seq_ops, seq_stats = pair_all(read_trace(trace_path))
         assert sorted(ops, key=lambda o: (o.time, o.client, o.xid)) == sorted(
             seq_ops, key=lambda o: (o.time, o.client, o.xid)
@@ -123,12 +165,12 @@ class TestParallelPair:
         assert stats.errors == seq_stats.errors
 
     def test_loss_accounting(self, trace_path):
-        _ops, stats = parallel_pair(trace_path, jobs=1, chunk_records=64)
+        _ops, stats = parallel_pair(trace_path, jobs=2, chunk_records=64)
         assert stats.orphan_replies == 2
         assert stats.unanswered_calls == 2
 
     def test_ops_sorted_by_call_time(self, trace_path):
-        ops, _stats = parallel_pair(trace_path, jobs=1, chunk_records=64)
+        ops, _stats = parallel_pair(trace_path, jobs=2, chunk_records=64)
         times = [op.time for op in ops]
         assert times == sorted(times)
 
@@ -136,8 +178,8 @@ class TestParallelPair:
         records = make_stream()
         write_trace(tmp_path / "t.trace", records)
         write_trace(tmp_path / "t.rtb", records)
-        text = parallel_pair(tmp_path / "t.trace", jobs=1, chunk_records=64)
-        binary = parallel_pair(tmp_path / "t.rtb", jobs=1, chunk_records=64)
+        text = parallel_pair(tmp_path / "t.trace", jobs=2, chunk_records=64)
+        binary = parallel_pair(tmp_path / "t.rtb", jobs=2, chunk_records=64)
         assert text == binary
 
     def test_gz_input_matches_plain(self, tmp_path):
@@ -161,6 +203,19 @@ class TestParallelPair:
         )
         assert metrics.get("analysis.pool.jobs").value == 2
         assert metrics.get("analysis.pool.chunks").value >= 4
+        assert (
+            metrics.get("analysis.pool.records").value
+            == stats.calls + stats.replies
+        )
+        assert metrics.get("analysis.pool.ops").value == len(ops)
+        assert 0.0 <= metrics.get("analysis.pool.utilization").value <= 1.0
+
+    def test_serial_pass_metrics_are_one_job_one_chunk(self, trace_path):
+        metrics = MetricsRegistry()
+        ops, stats = parallel_pair(trace_path, jobs=1, metrics=metrics)
+        assert metrics.get("analysis.pool.jobs").value == 1
+        assert metrics.get("analysis.pool.chunks").value == 1
+        assert metrics.get("analysis.pool.chunk_seconds").count == 1
         assert (
             metrics.get("analysis.pool.records").value
             == stats.calls + stats.replies
@@ -258,12 +313,13 @@ class TestBoundaryMerge:
     """The merge replays the chunks' recent pairs in time order, so a
     verdict that hangs on a pair completed inside another chunk comes
     out as in one sequential pass.  Regressions: the merge used to
-    seed one recent map with each key's newest pair."""
+    seed one recent map with each key's newest pair, and replayed calls
+    before replies at equal times."""
 
     def _check(self, tmp_path, records):
         path = tmp_path / "merge.rtb"
-        write_trace(path, records)
-        ops, stats = parallel_pair(path, jobs=1, chunk_records=2)
+        write_in_file_order(path, records)
+        ops, stats = parallel_pair(path, jobs=2, chunk_records=2)
         seq_ops, seq_stats = pair_all(records)
         assert stats == seq_stats
         assert ops == sorted(seq_ops, key=lambda o: (o.time, o.client, o.xid))
@@ -291,3 +347,27 @@ class TestBoundaryMerge:
         ])
         assert stats.orphan_replies == 1
         assert stats.duplicate_replies == 0
+
+    def test_equal_time_reply_before_call_stays_an_orphan(self, tmp_path):
+        call, reply = Direction.CALL, Direction.REPLY
+        # chunks: [call, reply] [reply, call at the same time]
+        # [call, reply]: in file order the tied reply has no call yet
+        stats = self._check(tmp_path, [
+            _rec(0.0, call, 9), _rec(0.1, reply, 9),
+            _rec(1.0, reply, 1), _rec(1.0, call, 1),
+            _rec(2.0, call, 2), _rec(2.1, reply, 2),
+        ])
+        assert stats.paired == 2
+        assert stats.orphan_replies == 1
+        assert stats.unanswered_calls == 1
+
+    def test_unsorted_trace_pairs_in_file_order(self, tmp_path):
+        call, reply = Direction.CALL, Direction.REPLY
+        # in file order the reply to xid 1 comes before its call
+        stats = self._check(tmp_path, [
+            _rec(2.0, reply, 1), _rec(0.5, call, 2),
+            _rec(1.0, call, 1), _rec(0.6, reply, 2),
+        ])
+        assert stats.paired == 1
+        assert stats.orphan_replies == 1
+        assert stats.unanswered_calls == 1

@@ -113,8 +113,9 @@ class TestChaosMatrix:
         records, text, expected, _ = _cached(system_name, schedule_name)
         path = tmp_path / "chaos.trace"
         path.write_text(text)
-        # small chunks force boundary merges through the faulted trace
-        _ops, stats = parallel_pair(path, chunk_records=1500)
+        # small chunks force boundary merges through the faulted trace,
+        # on the pool (at jobs=1 parallel_pair is the serial pass)
+        _ops, stats = parallel_pair(path, jobs=2, chunk_records=1500)
         assert stats == expected
 
     def test_batch_and_stream_analyze_agree(

@@ -60,9 +60,14 @@ class TestAnalyzeErrors:
         _expect_error(capsys, ["analyze", "--in", str(bad)])
 
     def test_truncated_gzip(self, tmp_path, capsys):
+        # valid call lines, so the cut container is the only fault
+        line = b"1.000000 C a b V3 1 getattr uid=0 gid=0 fh=ff\n"
         bad = tmp_path / "bad.trace.gz"
-        bad.write_bytes(gzip.compress(b"1.0 C 1 a b getattr v3\n" * 50)[:40])
-        _expect_error(capsys, ["analyze", "--in", str(bad)], "corrupt")
+        bad.write_bytes(gzip.compress(line * 50)[:40])
+        for argv in (["analyze", "--in", str(bad)],
+                     ["analyze", "--stream", "--in", str(bad)],
+                     ["report", "--in", str(bad)]):
+            _expect_error(capsys, argv, "corrupt")
 
     def test_stream_corrupt_binary(self, tmp_path, capsys):
         bad = tmp_path / "bad.rtb"

@@ -30,7 +30,7 @@ TIMEOUT = 60
 #: chunk (``parallel_pair``) or group 1 (``run_sharded``), and only
 #: there.
 PRELUDE = """
-import multiprocessing, os, signal, sys
+import multiprocessing, os, signal, sys, tempfile
 import repro.analysis.parallel as par
 import repro.workloads.sharding as sharding
 from repro.errors import TraceFormatError
@@ -40,7 +40,9 @@ def die():
 
 def fault(action, trace=None, chunk_records=64):
     if trace is not None:
-        second = par.plan_chunks(trace, chunk_records=chunk_records)[1].offset
+        with tempfile.TemporaryDirectory() as tables:
+            specs = par.plan_chunks(trace, tables, chunk_records=chunk_records)
+        second = specs[1].offset
         decode_chunk = par.decode_chunk
         def faulty_decode(spec):
             if spec.offset == second:

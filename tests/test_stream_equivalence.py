@@ -4,11 +4,11 @@ The streaming subsystem's headline claim is exactness — `StreamSummary`
 and `StreamRuns` must reproduce the batch pipeline bit-for-bit on any
 input, and `StreamLifetimes` must agree on every count and on the CDF
 at its histogram's bucket edges.  Pairing and reordering have one
-implementation each.  Chunked pairing still merges chunk boundaries,
-so it must agree with one sequential pass however the trace is cut;
-the reorderer must agree with the paper's literal look-ahead pass,
-kept here as the oracle.  These tests drive both sides with identical
-randomized streams.
+implementation each.  The pooled fan-out still merges chunk
+boundaries, so it must agree with the serial pass however the trace
+is cut, ties and unsorted input included; the reorderer must agree
+with the paper's literal look-ahead pass, kept here as the oracle.
+These tests drive both sides with identical randomized streams.
 """
 
 import tempfile
@@ -20,20 +20,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.lifetimes import BlockLifetimeAnalyzer
-from repro.analysis.pairing import pair_all
 from repro.analysis.parallel import parallel_pair
 from repro.analysis.reorder import StreamReorderer, reorder_window_sort
 from repro.analysis.runs import RunBuilder, classify_runs
 from repro.analysis.summary import summarize_trace
 from repro.nfs.messages import NfsStatus
 from repro.nfs.procedures import NfsProc
+from repro.obs.eventlog import EventLog
+from repro.obs.spans import SpanRecorder
 from repro.stream import (
     LIFETIME_BUCKET_BOUNDS,
     StreamLifetimes,
     StreamRuns,
     StreamSummary,
 )
-from repro.trace import write_trace
+from repro.trace import TraceWriter
 from repro.trace.record import Direction, TraceRecord
 from tests.helpers import create, lookup, read, remove, setattr_size, write
 
@@ -53,24 +54,38 @@ def _reply(t, xid, client, proc):
     )
 
 
+#: Gaps and latencies are often zero, so records tie.
+_gaps = st.just(0.0) | st.floats(min_value=0.0001, max_value=5.0)
+_latencies = st.just(0.0) | st.floats(min_value=0.0001, max_value=0.05)
+
+
 @st.composite
-def record_streams(draw):
-    """Wire-time-ordered record streams with loss, dups, and orphans."""
+def record_streams(draw, ordered=True):
+    """Record streams with loss, dups, orphans and ties.
+
+    Records often share a time (the planner never splits those), xids
+    come from a small pool so keys recur across events, and
+    ``retry_tie`` captures a reply at the instant of its call's
+    retransmission, in either order.  Wire-time ordered, ties kept in
+    event order; ``ordered=False`` shuffles the stream instead.
+    """
     events = draw(st.lists(
         st.tuples(
             st.sampled_from(["paired", "paired", "dup_call", "orphan_reply",
                              "unanswered", "dup_reply", "late_reply",
-                             "retry_dup", "repair"]),
+                             "retry_dup", "repair", "retry_tie"]),
             st.sampled_from(["c1", "c2", "c3"]),
+            st.integers(min_value=1, max_value=6),
             st.sampled_from([NfsProc.GETATTR, NfsProc.READ, NfsProc.LOOKUP]),
-            st.floats(min_value=0.0001, max_value=5.0),
-            st.floats(min_value=0.0001, max_value=0.05),
+            _gaps,
+            _latencies,
+            st.booleans(),
         ),
         max_size=40,
     ))
     records = []
     t = 0.0
-    for xid, (kind, client, proc, gap, latency) in enumerate(events, start=1):
+    for kind, client, xid, proc, gap, latency, flip in events:
         t += gap
         if kind == "paired":
             records.append(_call(t, xid, client, proc))
@@ -97,27 +112,56 @@ def record_streams(draw):
             records.append(_reply(t, xid, client, proc))
             records.append(_call(t + 1.1, xid, client, proc))
             records.append(_reply(t + 1.1 + latency, xid, client, proc))
+        elif kind == "retry_tie":  # reply at its retransmission's instant
+            retry = [_call(t + 1.1, xid, client, proc),
+                     _reply(t + 1.1, xid, client, proc)]
+            records.append(_call(t, xid, client, proc))
+            records.extend(retry[::-1] if flip else retry)
         else:
             records.append(_call(t, xid, client, proc))
+    if not ordered:
+        return draw(st.permutations(records))
     records.sort(key=lambda r: r.time)
     return records
 
 
-def _op_key(op):
-    return (op.time, op.client, op.xid)
+def _pairing(path, **kwargs):
+    """``parallel_pair``'s ops, stats and span stream (every op sampled)."""
+    sink = EventLog()
+    spans = SpanRecorder(sink, sample=1.0, buffered=True)
+    ops, stats = parallel_pair(path, spans=spans, **kwargs)
+    spans.close()
+    return ops, stats, sink.events
+
+
+def _fanout_matches_serial_pass(records, chunk_sizes):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "stream.rtb"
+        # with no sort window each record is flushed as it arrives, so
+        # the file keeps the stream's order, sorted or not
+        with TraceWriter(path, sort_window=0.0) as writer:
+            for record in records:
+                writer.write(record)
+        serial = _pairing(path)  # jobs=1: the serial pass
+        for chunk_records in chunk_sizes:
+            fanned = _pairing(path, jobs=2, chunk_records=chunk_records)
+            assert fanned == serial, f"chunk_records={chunk_records}"
 
 
 @settings(max_examples=300, deadline=None)
 @given(record_streams())
 def test_chunked_pairing_matches_pair_all(records):
-    serial_ops, serial_stats = pair_all(records)
-    with tempfile.TemporaryDirectory() as workdir:
-        path = Path(workdir) / "stream.rtb"
-        write_trace(path, records)
-        for chunk_records in (1, 2, 3, 7):
-            ops, stats = parallel_pair(path, chunk_records=chunk_records)
-            assert stats == serial_stats, f"chunk_records={chunk_records}"
-            assert sorted(ops, key=_op_key) == sorted(serial_ops, key=_op_key)
+    """The pooled fan-out's ops (in order), stats and span stream equal
+    the serial pass's on tie-heavy streams, however they are cut."""
+    _fanout_matches_serial_pass(records, (1, 2, 3, 7))
+
+
+@settings(max_examples=100, deadline=None)
+@given(record_streams(ordered=False))
+def test_unsorted_pairing_matches_the_serial_pass(records):
+    """On a stream whose times decrease somewhere the planner plans one
+    chunk, so the fan-out pairs in file order as the serial pass does."""
+    _fanout_matches_serial_pass(records, (1, 2))
 
 
 @st.composite
