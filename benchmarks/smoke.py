@@ -378,9 +378,11 @@ def gate_obs(shared: Shared):
       a sampled operation's full hop chain (client, link, server,
       capture, pairer) from the rotated segments.
     """
-    # loaded first, as the gate always has: the CLI's modules are a
-    # good part of the long-lived heap, whose size sets how often the
-    # collector runs full passes during the timed days
+    # loaded first, as the gate always has: the analysis stack the CLI
+    # imports at start-up is part of the long-lived heap, whose size
+    # sets how often the collector runs full passes during the timed
+    # days (the simulator's modules load with the first world, before
+    # its clock starts)
     import repro.cli.main  # noqa: F401
     from repro.obs.eventlog import EventLog
     from repro.obs.rotate import list_segments

@@ -29,36 +29,7 @@ Pipeline building blocks:
 * :mod:`characterize` — the qualitative system comparison (Table 1).
 """
 
-from repro.analysis.pairing import (
-    PairedOp,
-    PairingStats,
-    StreamPairer,
-    pair_all,
-    pair_records,
-    pair_trace,
-)
-from repro.analysis.parallel import ChunkSpec, parallel_pair, plan_chunks
-from repro.analysis.hierarchy import HierarchyReconstructor
-from repro.analysis.reorder import (
-    StreamReorderer,
-    reorder_window_sort,
-    swapped_fraction,
-)
-from repro.analysis.runs import Run, RunBuilder, RunPatternTally, classify_runs
-from repro.analysis.lifetimes import BlockLifetimeAnalyzer
-from repro.analysis.activity import ActivityAnalyzer, best_peak_window
-from repro.analysis.sequentiality import sequentiality_metric
-from repro.analysis.size_patterns import bytes_by_file_size
-from repro.analysis.summary import summarize_trace, TraceSummary
-from repro.analysis.names import NameCategoryAnalyzer
-from repro.analysis.characterize import Characterization, characterize
-from repro.analysis.loss import estimate_loss
-from repro.analysis.writeback import writeback_savings
-from repro.analysis.delegation import delegation_savings
-from repro.analysis.workingset import cumulative_working_set, working_set_series
-from repro.analysis.cache_model import block_cache_counterfactual
-from repro.analysis.sessions import infer_sessions
-from repro.analysis.patterns import survey_random_runs
+from repro._lazy import lazy_exports
 
 __all__ = [
     "PairedOp",
@@ -97,3 +68,26 @@ __all__ = [
     "infer_sessions",
     "survey_random_runs",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "pairing": ("PairedOp", "PairingStats", "StreamPairer", "pair_all",
+                "pair_records", "pair_trace"),
+    "parallel": ("ChunkSpec", "parallel_pair", "plan_chunks"),
+    "hierarchy": ("HierarchyReconstructor",),
+    "reorder": ("StreamReorderer", "reorder_window_sort", "swapped_fraction"),
+    "runs": ("Run", "RunBuilder", "RunPatternTally", "classify_runs"),
+    "lifetimes": ("BlockLifetimeAnalyzer",),
+    "activity": ("ActivityAnalyzer", "best_peak_window"),
+    "sequentiality": ("sequentiality_metric",),
+    "size_patterns": ("bytes_by_file_size",),
+    "summary": ("summarize_trace", "TraceSummary"),
+    "names": ("NameCategoryAnalyzer",),
+    "characterize": ("Characterization", "characterize"),
+    "loss": ("estimate_loss",),
+    "writeback": ("writeback_savings",),
+    "delegation": ("delegation_savings",),
+    "workingset": ("cumulative_working_set", "working_set_series"),
+    "cache_model": ("block_cache_counterfactual",),
+    "sessions": ("infer_sessions",),
+    "patterns": ("survey_random_runs",),
+})

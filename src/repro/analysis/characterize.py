@@ -10,6 +10,7 @@ table with the measured values substantiating each claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from operator import attrgetter
 
 from repro.analysis.activity import ActivityAnalyzer
@@ -111,27 +112,34 @@ def characterize(
     names = NameCategoryAnalyzer()
     hierarchy = names.hierarchy
     # lifetimes skips ops past phase 2 whole, namespace update included,
-    # so it shares the namespace only when no op lies past phase 2
-    shared = not ops or max(map(_TIME, ops)) <= phase2_end
+    # so it shares the namespace only when those ops trail all the rest
+    # (as in call-ordered ops): then they update the shared namespace
+    # after lifetimes' last fold, and its report never reads it
+    cut = _trailing_cut(ops, phase2_end)
+    shared = cut is not None
     lifetime = BlockLifetimeAnalyzer(
         start, mid, phase2_end, hierarchy=hierarchy if shared else None
     )
+    if shared:
+        passes = ((ops[:cut], lifetime.fold), (ops[cut:], _skip))
+    else:
+        passes = ((ops, lifetime.observe),)
     observe_activity = activity.observe
-    fold_lifetime = lifetime.fold if shared else lifetime.observe
     fold_names = names.fold
     observe_namespace = hierarchy.observe
     # READ/WRITE bytes per handle, resolved through the final namespace
     moved: dict[str | None, int] = {}
-    for op in ops:
-        observe_activity(op)
-        fold_lifetime(op)
-        fold_names(op)
-        observe_namespace(op)
-        if op.status is _OK:
-            proc = op.proc
-            if proc is _READ or proc is _WRITE:
-                fh = op.fh
-                moved[fh] = moved.get(fh, 0) + (op.count or 0)
+    for batch, fold_lifetime in passes:
+        for op in batch:
+            observe_activity(op)
+            fold_lifetime(op)
+            fold_names(op)
+            observe_namespace(op)
+            if op.status is _OK:
+                proc = op.proc
+                if proc is _READ or proc is _WRITE:
+                    fh = op.fh
+                    moved[fh] = moved.get(fh, 0) + (op.count or 0)
     table5 = activity.table5(start, end)
     life_report = lifetime.report()
     shares = names.accessed_shares(peak_ops if peak_ops is not None else ops)
@@ -150,6 +158,22 @@ def characterize(
         death_delete_fraction=life_report.death_fraction(DEATH_DELETE),
         death_truncate_fraction=life_report.death_fraction(DEATH_TRUNCATE),
     )
+
+
+def _trailing_cut(ops: list[PairedOp], phase2_end: float) -> int | None:
+    """Where the ops past ``phase2_end`` begin, if they all trail the
+    rest (``len(ops)`` when none lies past it); else None.  One pass:
+    the tail from the back, then the rest at C speed."""
+    cut = len(ops)
+    while cut and ops[cut - 1].time > phase2_end:
+        cut -= 1
+    if cut and max(map(_TIME, islice(ops, cut))) > phase2_end:
+        return None
+    return cut
+
+
+def _skip(op: PairedOp) -> None:
+    """The lifetime fold of an op past phase 2: nothing."""
 
 
 def _mailbox_share(

@@ -124,7 +124,8 @@ class BlockLifetimeAnalyzer:
             other analyses; default, a private one.  A sharing caller
             feeds :meth:`fold` and updates the namespace itself after
             it.  Ops past ``phase2_end`` are skipped whole, namespace
-            update included, so share only when no op lies past it.
+            update included, so share only when they all come after
+            every other op, and fold none of them.
     """
 
     def __init__(

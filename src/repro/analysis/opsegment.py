@@ -32,6 +32,7 @@ is no magic or version header to keep it cheap.
 from __future__ import annotations
 
 from dataclasses import fields as dataclass_fields
+from functools import cache
 from operator import attrgetter
 from struct import Struct, error as StructError
 
@@ -93,10 +94,12 @@ _GET_FIELDS = attrgetter(
 )
 
 
+@cache
 def _compile_op_encoder():
     """Unrolled op-encode loop (same technique as the ``.rtb`` encoder:
     one attrgetter per op, one combined frame+head+body Struct per
-    presence bitmap, generated per-field branches)."""
+    presence bitmap, generated per-field branches), compiled once, on
+    first use: only pool workers encode ops."""
     opt_vars = [f"v{i}" for i in range(len(_OPT_FIELDS))]
     src = [
         "def _encode_ops(ops, strings, define, packers, make_packer, pend):",
@@ -147,9 +150,6 @@ def _compile_op_encoder():
     return namespace["_encode_ops"]
 
 
-_ENCODE_OPS = _compile_op_encoder()
-
-
 def encode_ops(ops) -> bytes:
     """Serialize a list of PairedOps into one segment byte string."""
     strings: dict[str, int] = {}
@@ -174,7 +174,7 @@ def encode_ops(ops) -> bytes:
         packers[bitmap] = entry
         return entry
 
-    _ENCODE_OPS(ops, strings, define, packers, make_packer, pend)
+    _compile_op_encoder()(ops, strings, define, packers, make_packer, pend)
     return bytes(pend)
 
 

@@ -16,9 +16,7 @@ Implements the paper's anonymization scheme:
 * An *omit* mode drops all name/UID/GID/IP information instead.
 """
 
-from repro.anonymize.mapping import ConsistentMapper
-from repro.anonymize.rules import AnonymizationRules, default_rules
-from repro.anonymize.anonymizer import Anonymizer
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ConsistentMapper",
@@ -26,3 +24,9 @@ __all__ = [
     "default_rules",
     "Anonymizer",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "mapping": ("ConsistentMapper",),
+    "rules": ("AnonymizationRules", "default_rules"),
+    "anonymizer": ("Anonymizer",),
+})

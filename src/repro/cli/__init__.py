@@ -15,6 +15,8 @@ Each subcommand works on ``.trace``/``.trace.gz`` files, so the
 pipeline composes: simulate → anonymize → analyze.
 """
 
-from repro.cli.main import main
+from repro._lazy import lazy_exports
 
 __all__ = ["main"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {"main": ("main",)})

@@ -4,17 +4,24 @@ Subcommands are thin wrappers over the library; all heavy lifting
 lives in :mod:`repro.workloads`, :mod:`repro.anonymize`, and
 :mod:`repro.analysis`, so everything the CLI does is equally available
 programmatically.
+
+Each command imports only what it runs.  This module holds the parser
+and the analysis commands (``analyze`` in every mode, ``summary``,
+``runs``, ``report``, ``lifetimes`` and ``names``), which are short,
+run often, and need nothing else.  The other families live in their
+own modules, imported when one of their commands runs: simulate,
+watch and monitor in :mod:`repro.cli.simulate`; ingest, convert and
+anonymize in :mod:`repro.cli.ingest`; scenarios and characterize in
+:mod:`repro.cli.scenarios`; query and stats in :mod:`repro.cli.query`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import importlib
 import sys
-import zlib
-from contextlib import contextmanager, nullcontext
-from pathlib import Path
 
+from repro.analysis import parallel
 from repro.analysis.characterize import characterize
 from repro.analysis.lifetimes import (
     BIRTH_EXTENSION,
@@ -24,47 +31,24 @@ from repro.analysis.lifetimes import (
     DEATH_TRUNCATE,
     BlockLifetimeAnalyzer,
 )
+from repro.analysis.names import NameCategoryAnalyzer
 from repro.analysis.pairing import pair_trace
 from repro.analysis.reorder import reorder_window_sort
 from repro.analysis.runs import RunBuilder, classify_runs
 from repro.analysis.summary import summarize_trace
-from repro.anonymize import Anonymizer, default_rules
-from repro.anonymize.rules import omit_rules
-from repro.errors import ReproError, StreamMemoryError
-from repro.faults import FaultSchedule
-from repro.obs import (
-    EventLog,
-    MetricsRegistry,
-    PhaseTimer,
-    RotatingEventLog,
-    RotatingTraceWriter,
-    RotationPolicy,
-    SpanRecorder,
-    list_segments,
-    parse_prom_text,
-    partial_segments,
-    to_prom_text,
-)
+from repro.cli.common import require_ops, summary_text, write_metrics
+from repro.errors import ReproError
+from repro.obs import EventLog, MetricsRegistry, SpanRecorder
 from repro.report import format_table
-from repro.simcore.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR
+from repro.simcore.clock import SECONDS_PER_HOUR
 from repro.stream import (
-    LiveWatch,
-    MonitorServer,
     StreamEngine,
     StreamLatency,
-    StreamRates,
     StreamRuns,
-    StreamStats,
     StreamSummary,
     StreamTopFiles,
 )
-from repro.scenarios import (
-    compile_workload,
-    load_scenario,
-    scenario_names,
-)
-from repro.trace import TraceReader, TraceWriter, is_binary_trace_path
-from repro.workloads import TracedSystem, run_sharded
+from repro.trace import TraceReader
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--progress", action="store_true",
                      help="print periodic sim-time/ops progress to stderr")
     _add_span_args(sim)
-    sim.set_defaults(func=cmd_simulate)
+    sim.set_defaults(func=_family("simulate", "cmd_simulate"))
 
     watch = sub.add_parser(
         "watch",
@@ -131,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the end-of-run metrics snapshot here "
                             "(.prom -> Prometheus text, else JSON)")
     _add_span_args(watch)
-    watch.set_defaults(func=cmd_watch)
+    watch.set_defaults(func=_family("simulate", "cmd_watch"))
 
     monitor = sub.add_parser(
         "monitor",
@@ -177,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.add_argument("--max-items", type=int, default=None,
                          help="streaming-state budget; exceeding it stops "
                               "the run with a StreamMemoryError")
-    monitor.set_defaults(func=cmd_monitor)
+    monitor.set_defaults(func=_family("simulate", "cmd_monitor"))
 
     query = sub.add_parser(
         "query",
@@ -193,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="file handle (hex) to summarize across segments")
     query.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON instead of tables")
-    query.set_defaults(func=cmd_query)
+    query.set_defaults(func=_family("query", "cmd_query"))
 
     stats = sub.add_parser(
         "stats", help="trace-level statistics (records, op mix, loss)"
@@ -207,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "utilization, chunks, per-chunk wall) from a "
                             "metrics snapshot (.prom or JSON) written by "
                             "simulate/watch/monitor or analyze --metrics-out")
-    stats.set_defaults(func=cmd_stats)
+    stats.set_defaults(func=_family("query", "cmd_stats"))
 
     anon = sub.add_parser("anonymize", help="anonymize a trace for sharing")
     anon.add_argument("--key", type=int, required=True,
@@ -218,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="JSON file to load/store mapping tables")
     anon.add_argument("--in", dest="input", required=True)
     anon.add_argument("--out", required=True)
-    anon.set_defaults(func=cmd_anonymize)
+    anon.set_defaults(func=_family("ingest", "cmd_anonymize"))
 
     summary = sub.add_parser("summary", help="daily activity summary (Table 2)")
     _add_window_args(summary)
@@ -291,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="scenario name, spec file, or inline spec text")
     scen.add_argument("--json", action="store_true",
                       help="emit machine-readable JSON instead of tables")
-    scen.set_defaults(func=cmd_scenarios)
+    scen.set_defaults(func=_family("scenarios", "cmd_scenarios"))
 
     char = sub.add_parser(
         "characterize",
@@ -304,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="scenario name for the emitted spec")
     char.add_argument("--out", default=None,
                       help="write the spec here (default: stdout)")
-    char.set_defaults(func=cmd_characterize)
+    char.set_defaults(func=_family("scenarios", "cmd_characterize"))
 
     convert = sub.add_parser(
         "convert",
@@ -318,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     convert.add_argument("--out", required=True,
                          help=".rtb/.rtb.gz writes the binary container, "
                               "anything else the text format")
-    convert.set_defaults(func=cmd_convert)
+    convert.set_defaults(func=_family("ingest", "cmd_convert"))
 
     ing = sub.add_parser(
         "ingest",
@@ -343,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default: 5)")
     ing.add_argument("--metrics-out", default=None,
                      help="write ingest counters here as JSON")
-    ing.set_defaults(func=cmd_ingest)
+    ing.set_defaults(func=_family("ingest", "cmd_ingest"))
 
     return parser
 
@@ -403,904 +387,18 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
 
-# -- subcommands -----------------------------------------------------------------
+def _family(module: str, command: str):
+    """The ``func`` of a command in another family: it imports
+    ``repro.cli.<module>`` when the command runs, not at start-up."""
 
+    def run(args) -> int:
+        family = importlib.import_module(f"repro.cli.{module}")
+        return getattr(family, command)(args)
 
-def _build_system(args, *, span_sink=None, span_tail=0):
-    """System + workload + compiled scenario for simulate-style commands.
+    return run
 
-    Dispatch goes through the scenario registry
-    (:func:`repro.scenarios.compile_workload`): ``--scenario`` may be a
-    library name, a spec file, or inline spec text, and an unknown
-    name exits 2 with a one-line error listing the library.  The third
-    element keeps the old ``params`` position — callers read
-    ``.users`` off it, which :class:`CompiledScenario` carries.
-    """
-    faults = getattr(args, "faults", None)
-    trace_sample = getattr(args, "trace_sample", 0.0)
-    spans_out = getattr(args, "spans_out", None)
-    if spans_out and trace_sample <= 0:
-        raise ValueError("--spans-out requires --trace-sample > 0")
-    if span_sink is None and spans_out:
-        span_sink = EventLog(spans_out)
-    compiled = compile_workload(args.system, users=args.users or None)
-    system = TracedSystem(
-        seed=args.seed,
-        quota_bytes=compiled.quota_bytes,
-        mirror_bandwidth=args.mirror_bandwidth,
-        faults=faults,
-        trace_sample=trace_sample,
-        span_sink=span_sink,
-        span_tail=span_tail,
-    )
-    return system, compiled.workload, compiled
 
-
-def _close_spans(system) -> int | None:
-    """Finalize a system's span recorder and its sink; returns the count."""
-    spans = getattr(system, "spans", None)
-    if spans is None:
-        return None
-    emitted = spans.close()
-    close = getattr(spans.sink, "close", None)
-    if close is not None:
-        close()
-    return emitted
-
-
-def _span_summary_line(emitted, args) -> str | None:
-    """The span report simulate/watch print (None without a recorder)."""
-    if emitted is None:
-        return None
-    destination = args.spans_out if args.spans_out else "memory (no --spans-out)"
-    return (
-        f"spans: {emitted} emitted at sample rate "
-        f"{args.trace_sample:g} -> {destination}"
-    )
-
-
-@contextmanager
-def _trace_out(path):
-    """A :class:`TraceWriter` on ``path``, closed when the block ends;
-    if the block fails, the partial file is removed."""
-    writer = TraceWriter(path)
-    try:
-        yield writer
-    except BaseException:
-        writer.close()
-        Path(path).unlink(missing_ok=True)
-        raise
-    writer.close()
-
-
-def _live_engine(metrics, args, *, spans=None, max_items=None) -> StreamEngine:
-    """The engine watch and monitor feed, with their snapshot analyses."""
-    engine = StreamEngine(metrics=metrics, max_items=max_items, spans=spans)
-    engine.register(StreamSummary())
-    engine.register(StreamRates())
-    engine.register(StreamTopFiles(k=args.top))
-    engine.register(StreamLatency())
-    return engine
-
-
-def _run_live(args, system, workload, engine, *, writer=None, server=None):
-    """Run watch/monitor's world with a :class:`LiveWatch` attached;
-    returns the watch and the engine's results."""
-    system.start_measurement(SECONDS_PER_DAY)
-    end = (1.0 + args.days) * SECONDS_PER_DAY
-    watch = LiveWatch(system, engine, interval=args.interval,
-                      start_time=SECONDS_PER_DAY, writer=writer, server=server)
-    workload.attach(system)
-    watch.start(end)
-    system.run(end)
-    return watch, watch.finish()
-
-
-def _print_live_report(label, watch, results, args) -> None:
-    """The summary and snapshot lines watch and monitor print."""
-    print(_summary_text(f"{label} {args.system} simulation",
-                        results["summary"], results["pairing"]))
-    engine = watch.engine
-    print(
-        f"\n{watch.snapshots_rendered} snapshots rendered "
-        f"({args.interval:g}s interval), {engine.records:,} records "
-        f"streamed, peak state {engine.peak_items:,} items"
-    )
-
-
-def _print_segment_report(writer, span_sink, spans_emitted, args) -> None:
-    """The segment lines both monitor paths end with."""
-    print(
-        f"trace segments: {writer.segments_written} written, "
-        f"{writer.segments_retired} retired, "
-        f"{len(writer.paths)} on disk in {args.dir} "
-        f"({writer.records_written:,} records)"
-    )
-    if span_sink is not None:
-        print(
-            f"span segments: {span_sink.segments_written} written, "
-            f"{span_sink.segments_retired} retired, "
-            f"{len(span_sink.paths)} on disk "
-            f"({spans_emitted} spans at rate {args.trace_sample:g})"
-        )
-    print(f"query with: repro query --dir {args.dir} "
-          f"--trace-id ID | --file FH")
-
-
-def _default_users(args) -> int:
-    """The population for simulate-style commands (spec default)."""
-    if args.users:
-        return args.users
-    return load_scenario(args.system).default_users()
-
-
-def _simulate_sharded(args) -> int:
-    """``repro simulate --shards N``: the multi-process fan-out path.
-
-    Same window and output conventions as the in-process path (warm-up
-    Sunday excluded, trace windowed at Monday 00:00); the trace, the
-    fault ledger, and the span stream are byte-identical for every N.
-    """
-    if args.spans_out and args.trace_sample <= 0:
-        raise ValueError("--spans-out requires --trace-sample > 0")
-    if args.progress:
-        print("[repro] --progress is per event loop; sharded runs "
-              "report per-shard walls in --metrics-out instead",
-              file=sys.stderr)
-    users = _default_users(args)
-    event_log = EventLog(args.events_out) if args.events_out else None
-    timer = PhaseTimer()
-    if event_log is not None:
-        event_log.emit("simulate.start", system=args.system, seed=args.seed,
-                       days=args.days, users=users, shards=args.shards)
-    try:
-        with timer.phase("simulate"):
-            run = run_sharded(
-                args.system,
-                users=users,
-                days=args.days,
-                seed=args.seed,
-                shards=args.shards,
-                mirror_bandwidth=args.mirror_bandwidth,
-                faults=args.faults,
-                trace_sample=args.trace_sample,
-            )
-        with timer.phase("merge_write"):
-            count = run.write(args.out)
-        spans_emitted = None
-        if args.spans_out:
-            with EventLog(args.spans_out) as span_log:
-                spans_emitted = run.replay_spans(span_log)
-        elif run.spans_emitted:
-            spans_emitted = run.spans_emitted
-        if args.metrics_out:
-            metrics = MetricsRegistry()
-            run.publish_metrics(
-                metrics, merge_seconds=timer.seconds.get("merge_write")
-            )
-            _write_metrics(args.metrics_out, metrics)
-        if event_log is not None:
-            event_log.emit("simulate.done", records=count,
-                           drop_rate=run.drop_rate,
-                           shards=run.shards, groups=run.groups,
-                           wall_seconds=round(timer.total, 3),
-                           phases=timer.as_dict()["phases"])
-    finally:
-        if event_log is not None:
-            event_log.close()
-    print(
-        f"wrote {count} records to {args.out} "
-        f"({args.days:g} day(s) from Monday 00:00, {users} users, "
-        f"mirror loss {run.drop_rate:.1%})"
-    )
-    busy = sum(run.shard_walls)
-    util = busy / (run.shards * run.fanout_seconds) \
-        if run.fanout_seconds > 0 else 0.0
-    print(
-        f"fan-out: {run.shards} shard(s) over {run.groups} client "
-        f"group(s), utilization {util:.0%}"
-    )
-    span_line = _span_summary_line(spans_emitted, args)
-    if span_line is not None:
-        print(span_line)
-    if args.faults is not None:
-        spec = FaultSchedule.parse(args.faults).spec()
-        injected = sum(run.injected.values())
-        print(
-            f"faults: {spec} -> {injected} injected events, "
-            f"{run.retransmits} retransmissions"
-        )
-    return 0
-
-
-def cmd_simulate(args) -> int:
-    """Generate a synthetic trace file."""
-    if args.shards is not None:
-        return _simulate_sharded(args)
-    system, workload, params = _build_system(args)
-    # one window for the metrics and the capture: the warm-up Sunday
-    # is simulated but neither counted nor captured, so the snapshot
-    # agrees with analyses run over the written trace
-    system.start_measurement(SECONDS_PER_DAY)
-    end = (1.0 + args.days) * SECONDS_PER_DAY
-    event_log = EventLog(args.events_out) if args.events_out else None
-    timer = PhaseTimer()
-    if args.progress:
-        _schedule_progress(system, end, event_log)
-    workload.attach(system)
-    if event_log is not None:
-        event_log.emit("simulate.start", system=args.system, seed=args.seed,
-                       days=args.days, users=params.users)
-    # the simulated week begins on a quiet Sunday; run through it so
-    # the requested window starts Monday 00:00 with caches warm
-    try:
-        with _trace_out(args.out) as writer:
-            system.collector.sinks = [writer.write]
-            with timer.phase("simulate"):
-                system.run(end)
-            with timer.phase("write_trace"):
-                system.collector.flush()
-                writer.close()
-        count = writer.records_written
-        _write_metrics(args.metrics_out, system.metrics)
-        if event_log is not None:
-            event_log.emit("simulate.done", time=system.clock.now,
-                           records=count,
-                           drop_rate=system.mirror.drop_rate,
-                           wall_seconds=round(timer.total, 3),
-                           phases=timer.as_dict()["phases"])
-    finally:
-        # abnormal exits too: whatever was logged so far reaches disk
-        if event_log is not None:
-            event_log.close()
-        spans_emitted = _close_spans(system)
-    drop = system.mirror.drop_rate
-    print(
-        f"wrote {count} records to {args.out} "
-        f"({args.days:g} day(s) from Monday 00:00, {params.users} users, "
-        f"mirror loss {drop:.1%})"
-    )
-    span_line = _span_summary_line(spans_emitted, args)
-    if span_line is not None:
-        print(span_line)
-    if system.faults is not None:
-        injected = sum(system.faults.injected.values())
-        retransmits = sum(c.retransmits for c in system.clients.values())
-        print(
-            f"faults: {system.faults.schedule.spec()} -> "
-            f"{injected} injected events, {retransmits} retransmissions"
-        )
-    return 0
-
-
-def cmd_watch(args) -> int:
-    """Simulate with a live streaming analysis attached.
-
-    The collector streams its released capture into the engine (and
-    into the ``--out`` trace file, when asked), so a run holds just the
-    engine's bounded state no matter how many simulated days pass.
-    Snapshots go to stderr (like ``--progress``); the final Table 2
-    summary to stdout.
-    """
-    if args.shards is not None and args.shards < 1:
-        raise ValueError(f"--shards must be >= 1, got {args.shards}")
-    if args.shards is not None and args.shards > 1:
-        raise ValueError(
-            "watch renders live snapshots from inside the event loop and "
-            "cannot shard; use simulate --shards or monitor --shards"
-        )
-    system, workload, params = _build_system(args)
-    engine = _live_engine(system.metrics, args, spans=system.spans)
-    try:
-        with (_trace_out(args.out) if args.out else nullcontext()) as writer:
-            watch, results = _run_live(args, system, workload, engine,
-                                       writer=writer)
-    finally:
-        spans_emitted = _close_spans(system)
-    _print_live_report("live", watch, results, args)
-    span_line = _span_summary_line(spans_emitted, args)
-    if span_line is not None:
-        print(span_line)
-    if writer is not None:
-        print(f"wrote {writer.records_written} records to {args.out}")
-    _write_metrics(args.metrics_out, system.metrics)
-    return 0
-
-
-def cmd_monitor(args) -> int:
-    """The continuous monitoring daemon.
-
-    Like ``repro watch`` but built to be left running: records stream
-    into rotated ``.rtb.gz`` segments (size/age policy, retention
-    budget), sampled spans into rotated ``.jsonl`` segments, and
-    ``--serve`` exposes ``/metrics`` (Prometheus text) and ``/spans``
-    (live span tail) on a loopback socket.  Memory is bounded: the
-    collector holds only records the clock has not yet passed and
-    streams the rest to the segments and the engine, the engine
-    enforces ``--max-items`` (a :class:`~repro.errors.StreamMemoryError`
-    stops the run loudly with all segments closed), and the span tail
-    is a fixed deque.
-    The segment directory is queryable afterwards with ``repro query``.
-    """
-    if args.shards is not None:
-        return _monitor_sharded(args)
-    policy = RotationPolicy(
-        max_bytes=args.segment_bytes,
-        max_age=args.segment_age,
-        retain=args.retain,
-    )
-    span_sink = None
-    if args.trace_sample > 0:
-        span_sink = RotatingEventLog(args.dir, policy=policy)
-    args.spans_out = None  # sink is managed here, not via --spans-out
-    system, workload, params = _build_system(
-        args, span_sink=span_sink,
-        span_tail=args.span_tail if args.trace_sample > 0 else 0,
-    )
-    if span_sink is not None:
-        span_sink.bind_metrics(system.metrics)
-    writer = RotatingTraceWriter(
-        args.dir, policy=policy, metrics=system.metrics
-    )
-    # the live engine pairs too: with sampling on, its pairer emits
-    # verdict spans inline, completing each sampled trace's hop chain
-    engine = _live_engine(system.metrics, args, spans=system.spans,
-                          max_items=args.max_items)
-    server = None
-    if args.serve:
-        server = MonitorServer(port=args.port)
-        server.start()
-        print(f"[monitor] serving http://{server.address}/metrics "
-              f"/spans /healthz", file=sys.stderr)
-    try:
-        watch, results = _run_live(args, system, workload, engine,
-                                   writer=writer, server=server)
-    finally:
-        # every exit path — including StreamMemoryError from the
-        # engine's budget — leaves only closed, scannable segments
-        writer.close()
-        spans_emitted = _close_spans(system)
-        if server is not None:
-            server.close()
-    _print_live_report("monitored", watch, results, args)
-    _print_segment_report(writer, span_sink, spans_emitted, args)
-    return 0
-
-
-def _monitor_sharded(args) -> int:
-    """``repro monitor --shards N``: fan out, then segment the merge.
-
-    The simulation runs sharded exactly as ``simulate --shards`` does;
-    the merged record stream is then fed through the rotating trace
-    writer and the streaming engine post-hoc, so the segment directory
-    (and the final summary) is the same as a live run's — only the
-    periodic snapshots and ``--serve``, which need a live in-process
-    event loop, are unavailable.
-    """
-    if args.serve:
-        raise ValueError(
-            "--serve needs the live in-process event loop; "
-            "drop --serve or run without --shards"
-        )
-    policy = RotationPolicy(
-        max_bytes=args.segment_bytes,
-        max_age=args.segment_age,
-        retain=args.retain,
-    )
-    metrics = MetricsRegistry()
-    run = run_sharded(
-        args.system,
-        users=_default_users(args),
-        days=args.days,
-        seed=args.seed,
-        shards=args.shards,
-        mirror_bandwidth=args.mirror_bandwidth,
-        faults=args.faults,
-        trace_sample=args.trace_sample,
-    )
-    span_sink = None
-    spans_emitted = 0
-    writer = RotatingTraceWriter(args.dir, policy=policy, metrics=metrics)
-    engine = _live_engine(metrics, args, max_items=args.max_items)
-    try:
-        for record in run.merged():
-            writer.write(record)
-            engine.feed(record)
-        results = engine.finish()
-        if args.trace_sample > 0:
-            span_sink = RotatingEventLog(args.dir, policy=policy)
-            span_sink.bind_metrics(metrics)
-            spans_emitted = run.replay_spans(span_sink)
-    finally:
-        writer.close()
-        if span_sink is not None:
-            span_sink.close()
-    run.publish_metrics(metrics)
-    print(_summary_text(f"monitored {args.system} simulation",
-                        results["summary"], results["pairing"]))
-    print(
-        f"\nsharded run: {run.shards} shard(s) over {run.groups} client "
-        f"group(s), {engine.records:,} records streamed post-merge, "
-        f"peak state {engine.peak_items:,} items"
-    )
-    _print_segment_report(writer, span_sink, spans_emitted, args)
-    return 0
-
-
-def _scan_span_segments(directory, keep) -> list[dict]:
-    """All span records in rotated ``spans-*.jsonl`` matching ``keep``."""
-    matches: list[dict] = []
-    for path in list_segments(directory, "spans", ".jsonl"):
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                if record.get("event") == "span" and keep(record):
-                    matches.append(record)
-    return matches
-
-
-#: Sort spans of one trace into pipeline order for display.
-_QUERY_HOP_ORDER = {"client": 0, "link": 1, "server": 2,
-                    "capture": 3, "pairer": 4}
-
-
-def _query_trace(args, directory) -> int:
-    wanted = args.trace_id
-    spans = _scan_span_segments(directory, lambda r: r.get("trace") == wanted)
-    if not spans:
-        raise ValueError(
-            f"no spans for trace {wanted} in {args.dir} (is the ID right, "
-            f"was the run sampled, did retention delete its segment?)"
-        )
-    spans.sort(key=lambda r: (
-        r.get("start", 0.0), _QUERY_HOP_ORDER.get(r.get("hop"), 9),
-        r.get("end", 0.0),
-    ))
-    if args.json:
-        print(json.dumps(spans, indent=2, sort_keys=True))
-        return 0
-    rows = []
-    for span in spans:
-        attrs = span.get("attrs") or {}
-        events = span.get("events") or []
-        detail = attrs.get("verdict") or ",".join(
-            e.get("name", "?") for e in events
-        )
-        rows.append([
-            span.get("hop"), span.get("name"),
-            f"{span.get('start', 0.0):.6f}", f"{span.get('end', 0.0):.6f}",
-            span.get("status"), detail or "-",
-        ])
-    print(format_table(
-        ["Hop", "Name", "Start", "End", "Status", "Detail"],
-        rows,
-        title=f"Trace {wanted} ({len(spans)} spans)",
-    ))
-    root = next((s for s in spans if s.get("hop") == "client"), None)
-    if root is not None:
-        attrs = root.get("attrs") or {}
-        print(f"\nclient={attrs.get('client')} xid={attrs.get('xid')} "
-              f"proc={attrs.get('proc')} fh={attrs.get('fh', '-')}")
-    return 0
-
-
-def _query_file(args, directory) -> int:
-    wanted = args.file_handle
-    per_proc: dict[str, int] = {}
-    records = calls = replies = 0
-    bytes_read = bytes_written = 0
-    first = last = None
-    from repro.nfs.procedures import NfsProc
-    from repro.trace.record import Direction
-
-    for path in list_segments(directory, "trace"):
-        with TraceReader(path) as reader:
-            for record in reader:
-                if record.fh != wanted:
-                    continue
-                records += 1
-                name = record.proc._value_
-                per_proc[name] = per_proc.get(name, 0) + 1
-                if record.direction == Direction.CALL:
-                    calls += 1
-                    if record.proc is NfsProc.WRITE and record.count:
-                        bytes_written += record.count
-                else:
-                    replies += 1
-                    if record.proc is NfsProc.READ and record.count:
-                        bytes_read += record.count
-                if first is None or record.time < first:
-                    first = record.time
-                if last is None or record.time > last:
-                    last = record.time
-    spans = _scan_span_segments(
-        directory, lambda r: (r.get("attrs") or {}).get("fh") == wanted
-    )
-    traces = sorted({s["trace"] for s in spans})
-    if records == 0 and not spans:
-        raise ValueError(f"no records or spans for file {wanted} in {args.dir}")
-    if args.json:
-        print(json.dumps({
-            "file": wanted,
-            "records": records,
-            "calls": calls,
-            "replies": replies,
-            "bytes_read": bytes_read,
-            "bytes_written": bytes_written,
-            "first_time": first,
-            "last_time": last,
-            "per_proc": dict(sorted(per_proc.items())),
-            "sampled_traces": traces,
-        }, indent=2))
-        return 0
-    rows = [
-        ["Records", records],
-        ["Calls / replies", f"{calls} / {replies}"],
-        ["Bytes read", bytes_read],
-        ["Bytes written", bytes_written],
-        ["First seen", f"{first:.3f}" if first is not None else "-"],
-        ["Last seen", f"{last:.3f}" if last is not None else "-"],
-        ["Sampled traces", len(traces)],
-    ]
-    for proc, count in sorted(per_proc.items()):
-        rows.append([f"  {proc}", count])
-    print(format_table(
-        ["Metric", "Value"], rows,
-        title=f"File {wanted} across segments in {args.dir}",
-    ))
-    if traces:
-        shown = ", ".join(traces[:3])
-        print(f"\nsampled trace IDs (first 3 of {len(traces)}): {shown}")
-        print("follow one with: repro query --dir "
-              f"{args.dir} --trace-id {traces[0]}")
-    return 0
-
-
-def cmd_query(args) -> int:
-    """Query rotated monitor segments by trace ID or file handle;
-    open or abandoned (``partial-*``) segments are skipped, on stderr."""
-    directory = Path(args.dir)
-    if not directory.is_dir():
-        raise FileNotFoundError(f"segment directory not found: {args.dir}")
-    skipped = (partial_segments(directory, "trace")
-               + partial_segments(directory, "spans", ".jsonl"))
-    if skipped:
-        names = ", ".join(path.name for path in skipped)
-        print(f"repro: skipped {len(skipped)} incomplete segment(s): "
-              f"{names}", file=sys.stderr)
-    if args.trace_id:
-        return _query_trace(args, directory)
-    return _query_file(args, directory)
-
-
-#: Simulated seconds between --progress reports.
-PROGRESS_INTERVAL = SECONDS_PER_HOUR
-
-
-def _schedule_progress(system, end: float, event_log=None) -> None:
-    """Arrange periodic progress lines on stderr while simulating."""
-    loop = system.loop
-    collector = system.collector
-
-    def tick() -> None:
-        loop.sync_metrics()
-        now = loop.clock.now
-        wall = loop.wall_seconds
-        speed = now / wall if wall > 0 else float("inf")
-        records = collector.calls_seen + collector.replies_seen
-        line = (
-            f"[repro] sim {now / SECONDS_PER_DAY:6.2f}d  "
-            f"events {loop.events_run:>9,}  "
-            f"records {records:>9,}  "
-            f"wall {wall:7.1f}s  speed {speed:,.0f}x"
-        )
-        print(line, file=sys.stderr)
-        if event_log is not None:
-            event_log.emit("progress", time=now, events=loop.events_run,
-                           records=records, wall_seconds=round(wall, 3))
-        if now + PROGRESS_INTERVAL <= end:
-            loop.schedule_in(PROGRESS_INTERVAL, tick)
-
-    loop.schedule(PROGRESS_INTERVAL, tick)
-
-
-def _metric_samples(samples: dict, name: str) -> list[tuple[dict, float]]:
-    """Extract ``(labels, value)`` pairs for one metric from a snapshot.
-
-    Accepts both snapshot key styles: the JSON form
-    ``faults.injected{fault=drop,kind=call,where=wire}`` and the
-    Prometheus form ``faults_injected{fault="drop",...}``.
-    """
-    names = (name, name.replace(".", "_").replace("-", "_"))
-    out: list[tuple[dict, float]] = []
-    for key, value in samples.items():
-        base, _, label_part = key.partition("{")
-        if base not in names:
-            continue
-        if isinstance(value, dict):  # gauge/histogram snapshot objects
-            continue
-        labels: dict[str, str] = {}
-        if label_part:
-            for pair in label_part.rstrip("}").split(","):
-                k, _, v = pair.partition("=")
-                labels[k] = v.strip('"')
-        out.append((labels, value))
-    return out
-
-
-def _load_metrics_snapshot(path: str) -> dict:
-    """A metrics snapshot file as ``{sample_key: value}`` (either format)."""
-    text = Path(path).read_text()
-    if path.endswith(".prom"):
-        return parse_prom_text(text)
-    return json.loads(text)
-
-
-def _fault_stats_report(path: str) -> tuple[list[list], int]:
-    """Fault-injection rows and the retransmission total from a snapshot."""
-    samples = _load_metrics_snapshot(path)
-    rows = []
-    for labels, value in _metric_samples(samples, "faults.injected"):
-        rows.append([
-            labels.get("fault", "?"), labels.get("kind", "?"),
-            labels.get("where", "?"), int(value),
-        ])
-    rows.sort()
-    retransmits = int(sum(
-        value for _labels, value in _metric_samples(
-            samples, "client.retransmits"
-        )
-    ))
-    return rows, retransmits
-
-
-def _scalar_sample(samples: dict, name: str):
-    """One gauge/counter value from a snapshot, either key style."""
-    for key in (name, name.replace(".", "_")):
-        value = samples.get(key)
-        if isinstance(value, dict):  # JSON gauge: {value, high_water}
-            return value.get("value")
-        if value is not None:
-            return value
-    return None
-
-
-def _histogram_sample(samples: dict, name: str):
-    """A histogram's ``(count, sum)`` from a snapshot, either format."""
-    value = samples.get(name)
-    if isinstance(value, dict) and "count" in value:
-        return int(value["count"]), float(value["sum"])
-    flat = name.replace(".", "_")
-    count = samples.get(f"{flat}_count")
-    if count is None:
-        return None
-    return int(count), float(samples.get(f"{flat}_sum", 0.0))
-
-
-def _pool_stats_report(path: str) -> dict | None:
-    """Fan-out health from an ``analyze --metrics-out`` snapshot.
-
-    Returns None when the snapshot has no ``analysis.pool.*`` samples
-    (e.g. it came from a simulation run instead of an analysis).
-    """
-    samples = _load_metrics_snapshot(path)
-    jobs = _scalar_sample(samples, "analysis.pool.jobs")
-    if jobs is None:
-        return None
-    report = {
-        "jobs": int(jobs),
-        "chunks": int(_scalar_sample(samples, "analysis.pool.chunks") or 0),
-        "utilization": float(
-            _scalar_sample(samples, "analysis.pool.utilization") or 0.0
-        ),
-        "records": int(_scalar_sample(samples, "analysis.pool.records") or 0),
-        "ops": int(_scalar_sample(samples, "analysis.pool.ops") or 0),
-    }
-    chunk_wall = _histogram_sample(samples, "analysis.pool.chunk_seconds")
-    if chunk_wall is not None:
-        count, total = chunk_wall
-        report["chunk_wall_seconds_total"] = total
-        report["chunk_wall_seconds_mean"] = total / count if count else 0.0
-    return report
-
-
-def _sim_stats_report(path: str) -> dict | None:
-    """Sharded-simulation fan-out health from a metrics snapshot.
-
-    Returns None when the snapshot has no ``sim.fanout.*`` samples
-    (e.g. it came from an unsharded run or an analysis).
-    """
-    samples = _load_metrics_snapshot(path)
-    shards = _scalar_sample(samples, "sim.fanout.shards")
-    if shards is None:
-        return None
-    report = {
-        "shards": int(shards),
-        "groups": int(_scalar_sample(samples, "sim.fanout.groups") or 0),
-        "utilization": float(
-            _scalar_sample(samples, "sim.fanout.utilization") or 0.0
-        ),
-        "records": int(_scalar_sample(samples, "sim.fanout.records") or 0),
-    }
-    shard_wall = _histogram_sample(samples, "sim.fanout.shard_seconds")
-    if shard_wall is not None:
-        count, total = shard_wall
-        report["shard_wall_seconds_total"] = total
-        report["shard_wall_seconds_mean"] = total / count if count else 0.0
-    merge = _scalar_sample(samples, "sim.fanout.merge_seconds")
-    if merge is not None:
-        report["merge_seconds"] = float(merge)
-    return report
-
-
-def cmd_stats(args) -> int:
-    """Trace-level statistics: record mix, per-procedure ops, loss.
-
-    Runs through the streaming engine: one pass over the reader, no
-    record or op list materialized, so ``.rtb.gz`` traces far larger
-    than RAM summarize in bounded memory.  The tallies are exact — the
-    push-based pairer accounts loss identically to the batch pairer.
-    """
-    engine = StreamEngine()
-    tally = engine.register(StreamStats())
-    with TraceReader(args.trace) as reader:
-        results = engine.run(reader)
-    if tally.records == 0:
-        raise ValueError(f"no records in {args.trace}")
-    stats = results["pairing"]
-    calls, replies = tally.calls, tally.replies
-    paired, errors = tally.paired, tally.errors
-    first, last = tally.first, tally.last
-    if args.json:
-        payload = {
-            "trace": args.trace,
-            "records": tally.records,
-            "first_time": first,
-            "last_time": last,
-            "span_seconds": last - first,
-            "clients": len(tally.clients),
-            "calls": dict(sorted(calls.items())),
-            "replies": dict(sorted(replies.items())),
-            "paired": dict(sorted(paired.items())),
-            "errors": dict(sorted(errors.items())),
-            "orphan_replies": stats.orphan_replies,
-            "unanswered_calls": stats.unanswered_calls,
-            "duplicate_replies": stats.duplicate_replies,
-            "estimated_loss_rate": stats.estimated_loss_rate,
-        }
-        if args.metrics:
-            fault_rows, retransmits = _fault_stats_report(args.metrics)
-            payload["faults_injected"] = [
-                {"fault": fault, "kind": kind, "where": where, "count": count}
-                for fault, kind, where, count in fault_rows
-            ]
-            payload["client_retransmits"] = retransmits
-            pool = _pool_stats_report(args.metrics)
-            if pool is not None:
-                payload["analysis_pool"] = pool
-            fanout = _sim_stats_report(args.metrics)
-            if fanout is not None:
-                payload["simulation_fanout"] = fanout
-        print(json.dumps(payload, indent=2))
-        return 0
-    rows = [
-        [proc, calls[proc], replies.get(proc, 0), paired.get(proc, 0),
-         errors.get(proc, 0)]
-        for proc in sorted(set(calls) | set(replies))
-    ]
-    rows.append(["total", sum(calls.values()), sum(replies.values()),
-                 sum(paired.values()), sum(errors.values())])
-    print(format_table(
-        ["Procedure", "Calls", "Replies", "Paired", "Errors"],
-        rows,
-        title=f"Stats of {args.trace}",
-    ))
-    print()
-    print(format_table(
-        ["Metric", "Value"],
-        [
-            ["Records", tally.records],
-            ["Clients", len(tally.clients)],
-            ["First timestamp", f"{first:.3f}"],
-            ["Last timestamp", f"{last:.3f}"],
-            ["Span (days)", f"{(last - first) / SECONDS_PER_DAY:.3f}"],
-            ["Orphan replies", stats.orphan_replies],
-            ["Unanswered calls", stats.unanswered_calls],
-            ["Duplicate replies", stats.duplicate_replies],
-            ["Estimated capture loss", f"{stats.estimated_loss_rate:.3%}"],
-        ],
-    ))
-    if args.metrics:
-        fault_rows, retransmits = _fault_stats_report(args.metrics)
-        print()
-        if fault_rows:
-            total = sum(row[3] for row in fault_rows)
-            print(format_table(
-                ["Fault", "Kind", "Where", "Count"],
-                fault_rows + [["total", "", "", total]],
-                title=f"Injected faults ({args.metrics})",
-            ))
-        else:
-            print(f"no fault-injection samples in {args.metrics}")
-        print(f"client retransmissions: {retransmits}")
-        pool = _pool_stats_report(args.metrics)
-        if pool is not None:
-            rows = [
-                ["Pool jobs", pool["jobs"]],
-                ["Chunks", pool["chunks"]],
-                ["Pool utilization", f"{pool['utilization']:.1%}"],
-                ["Records fanned out", pool["records"]],
-                ["Ops merged", pool["ops"]],
-            ]
-            if "chunk_wall_seconds_total" in pool:
-                rows.append([
-                    "Chunk wall (total s)",
-                    f"{pool['chunk_wall_seconds_total']:.3f}",
-                ])
-                rows.append([
-                    "Chunk wall (mean s)",
-                    f"{pool['chunk_wall_seconds_mean']:.4f}",
-                ])
-            print()
-            print(format_table(
-                ["Fan-out", "Value"], rows,
-                title=f"Analysis fan-out ({args.metrics})",
-            ))
-        fanout = _sim_stats_report(args.metrics)
-        if fanout is not None:
-            rows = [
-                ["Shards", fanout["shards"]],
-                ["Client groups", fanout["groups"]],
-                ["Merge utilization", f"{fanout['utilization']:.1%}"],
-                ["Records merged", fanout["records"]],
-            ]
-            if "shard_wall_seconds_total" in fanout:
-                rows.append([
-                    "Shard wall (total s)",
-                    f"{fanout['shard_wall_seconds_total']:.3f}",
-                ])
-                rows.append([
-                    "Shard wall (mean s)",
-                    f"{fanout['shard_wall_seconds_mean']:.4f}",
-                ])
-            if "merge_seconds" in fanout:
-                rows.append([
-                    "Merge wall (s)", f"{fanout['merge_seconds']:.3f}",
-                ])
-            print()
-            print(format_table(
-                ["Fan-out", "Value"], rows,
-                title=f"Simulation fan-out ({args.metrics})",
-            ))
-    return 0
-
-
-def cmd_anonymize(args) -> int:
-    """Anonymize a trace file (optionally with persistent mappings)."""
-    rules = omit_rules() if args.omit else default_rules()
-    anonymizer = Anonymizer(key=args.key, rules=rules)
-    mapping_path = Path(args.mappings) if args.mappings else None
-    if mapping_path is not None and mapping_path.exists():
-        anonymizer.import_mappings(json.loads(mapping_path.read_text()))
-    count = 0
-    with _trace_out(args.out) as writer:
-        with TraceReader(args.input) as reader:
-            for record in reader:
-                writer.write(anonymizer.anonymize_record(record))
-                count += 1
-    if mapping_path is not None:
-        mapping_path.write_text(json.dumps(anonymizer.export_mappings()))
-    print(f"anonymized {count} records -> {args.out}")
-    return 0
-
-
-def _require_ops(ops, path) -> None:
-    """The error every batch command gives a trace where nothing pairs."""
-    if not ops:
-        raise ValueError(f"no pairable operations in {path}")
+# -- the analysis commands -------------------------------------------------------
 
 
 def _stream_trace(path, analyses, *, metrics=None, spans=None):
@@ -1338,26 +436,6 @@ def _window(args, ops=None):
     return start, end
 
 
-def _summary_text(input_path, s, stats) -> str:
-    return format_table(
-        ["Metric", "Value"],
-        [
-            ["Window (days)", f"{s.days:.3f}"],
-            ["Total ops", s.total_ops],
-            ["Ops/day", f"{s.ops_per_day:,.0f}"],
-            ["Read ops/day", f"{s.read_ops_per_day:,.0f}"],
-            ["Write ops/day", f"{s.write_ops_per_day:,.0f}"],
-            ["GB read/day", f"{s.gb_read_per_day:.4f}"],
-            ["GB written/day", f"{s.gb_written_per_day:.4f}"],
-            ["R/W bytes ratio", f"{s.rw_byte_ratio:.3f}"],
-            ["R/W ops ratio", f"{s.rw_op_ratio:.3f}"],
-            ["Metadata fraction", f"{s.metadata_fraction:.3f}"],
-            ["Estimated capture loss", f"{stats.estimated_loss_rate:.3%}"],
-        ],
-        title=f"Summary of {input_path}",
-    )
-
-
 def _batch_runs_table(ops, start, end, window_ms, jumps):
     data = [
         op for op in ops
@@ -1388,7 +466,7 @@ def cmd_summary(args) -> int:
     results, _engine = _stream_trace(
         args.input, [StreamSummary(start=args.start, end=args.end)]
     )
-    print(_summary_text(args.input, results["summary"], results["pairing"]))
+    print(summary_text(args.input, results["summary"], results["pairing"]))
     return 0
 
 
@@ -1410,7 +488,7 @@ def _stream_runs(args) -> StreamRuns:
 def cmd_lifetimes(args) -> int:
     """Print Table 4 numbers and a Figure 3-style CDF."""
     ops, _stats = pair_trace(args.input)
-    _require_ops(ops, args.input)
+    require_ops(ops, args.input)
     phase1_start = args.phase1_start
     phase2_end = (
         args.phase2_end if args.phase2_end is not None else ops[-1].time
@@ -1474,7 +552,7 @@ def cmd_report(args) -> int:
     """Print the full Table 1-style characterization."""
     _window(args)
     ops, _stats = pair_trace(args.input)
-    _require_ops(ops, args.input)
+    require_ops(ops, args.input)
     start, end = _window(args, ops)
     print(_report_text(args.input, ops, start, end))
     return 0
@@ -1492,8 +570,6 @@ def cmd_analyze(args) -> int:
     characterization reports; the characterization reuses the printed
     summary.  Output is byte-identical for every ``--jobs`` value.
     """
-    from repro.analysis.parallel import parallel_pair
-
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     _window(args)
@@ -1502,13 +578,14 @@ def cmd_analyze(args) -> int:
     metrics = MetricsRegistry()
     spans, span_sink = _analysis_spans(args, metrics)
     try:
-        ops, stats = parallel_pair(
+        # looked up as it runs: the name may be wrapped after import
+        ops, stats = parallel.parallel_pair(
             args.input, jobs=args.jobs, metrics=metrics, spans=spans
         )
-        _require_ops(ops, args.input)
+        require_ops(ops, args.input)
         start, end = _window(args, ops)
         summary = summarize_trace(ops, start, end)
-        print(_summary_text(args.input, summary, stats))
+        print(summary_text(args.input, summary, stats))
         print()
         table = _batch_runs_table(ops, start, end, args.window_ms, args.jumps)
         print(_runs_text(args.input, table, args.window_ms, args.jumps))
@@ -1518,7 +595,7 @@ def cmd_analyze(args) -> int:
         spans_emitted = _finish_analysis_spans(spans, span_sink)
     if spans_emitted is not None:
         print(f"\nwrote {spans_emitted} pairer spans to {args.spans_out}")
-    _write_metrics(args.metrics_out, metrics)
+    write_metrics(args.metrics_out, metrics)
     return 0
 
 
@@ -1551,15 +628,6 @@ def _finish_analysis_spans(spans, sink) -> int | None:
     return emitted
 
 
-def _write_metrics(path, metrics) -> None:
-    if not path:
-        return
-    if path.endswith(".prom"):
-        Path(path).write_text(to_prom_text(metrics))
-    else:
-        Path(path).write_text(json.dumps(metrics.snapshot(), indent=2) + "\n")
-
-
 def _cmd_analyze_stream(args) -> int:
     """``repro analyze --stream``: the one-pass bounded-memory suite.
 
@@ -1584,7 +652,7 @@ def _cmd_analyze_stream(args) -> int:
     finally:
         spans_emitted = _finish_analysis_spans(spans, span_sink)
     stats = results["pairing"]
-    print(_summary_text(args.input, results["summary"], stats))
+    print(summary_text(args.input, results["summary"], stats))
     print()
     print(_runs_text(args.input, results["runs"], args.window_ms, args.jumps))
     print()
@@ -1612,16 +680,14 @@ def _cmd_analyze_stream(args) -> int:
     print(f"\npeak streaming state: {engine.peak_items:,} items")
     if spans_emitted is not None:
         print(f"wrote {spans_emitted} pairer spans to {args.spans_out}")
-    _write_metrics(args.metrics_out, metrics)
+    write_metrics(args.metrics_out, metrics)
     return 0
 
 
 def cmd_names(args) -> int:
     """Print name-category census and prediction accuracies."""
-    from repro.analysis.names import NameCategoryAnalyzer
-
     ops, _stats = pair_trace(args.input)
-    _require_ops(ops, args.input)
+    require_ops(ops, args.input)
     analyzer = NameCategoryAnalyzer().observe_all(ops)
     census = analyzer.category_census()
     total = sum(census.values()) or 1
@@ -1659,160 +725,6 @@ def cmd_names(args) -> int:
             title="Prediction from filenames",
         )
     )
-    return 0
-
-
-def cmd_scenarios(args) -> int:
-    """List, show, or validate workload scenarios."""
-    from repro.scenarios import ScenarioSpec, get_scenario
-
-    if args.action == "list":
-        rows = []
-        payload = []
-        for name in scenario_names():
-            spec = get_scenario(name)
-            kind = spec.model.kind if spec.model is not None else "flowops"
-            rows.append([
-                name, kind, spec.default_users(), len(spec.flowops) or "-",
-                spec.title or "-",
-            ])
-            payload.append({
-                "name": name, "kind": kind,
-                "users": spec.default_users(),
-                "flowops": len(spec.flowops), "title": spec.title,
-            })
-        if args.json:
-            print(json.dumps(payload, indent=2))
-        else:
-            print(format_table(
-                ["Name", "Kind", "Users", "Flowops", "Title"], rows,
-                title="Scenario library",
-            ))
-            print("\nrun one with: repro simulate --scenario NAME "
-                  "--days 1 --out trace.txt")
-        return 0
-    if args.ref is None and args.action == "show":
-        raise ValueError("scenarios show needs a scenario name or file")
-    if args.action == "show":
-        print(load_scenario(args.ref).spec())
-        return 0
-    # validate: one reference, or the whole library when none is given
-    refs = [args.ref] if args.ref is not None else scenario_names()
-    results = []
-    for ref in refs:
-        spec = load_scenario(ref)
-        # the round-trip contract is part of "valid": canonical text
-        # must re-parse to an equal object
-        reparsed = ScenarioSpec.parse(spec.spec())
-        if reparsed != spec:
-            raise ValueError(
-                f"scenario {spec.name!r} fails the round-trip contract"
-            )
-        results.append(spec)
-    if args.json:
-        print(json.dumps(
-            [{"name": s.name, "clauses": len(s.clauses), "valid": True}
-             for s in results], indent=2,
-        ))
-    else:
-        for spec in results:
-            print(f"{spec.name}: ok ({len(spec.clauses)} clauses)")
-    return 0
-
-
-def cmd_characterize(args) -> int:
-    """Fit a scenario-spec skeleton to a trace (the synthetic twin)."""
-    from repro.scenarios import fit_scenario
-
-    ops, _stats = pair_trace(args.input)
-    _require_ops(ops, args.input)
-    spec = fit_scenario(ops, name=args.name)
-    text = spec.spec() + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote scenario {spec.name!r} ({len(spec.clauses)} clauses, "
-              f"fitted from {len(ops)} ops) to {args.out}")
-        print(f"simulate it with: repro simulate --scenario {args.out} "
-              f"--days 1 --out twin.txt")
-    else:
-        print(text, end="")
-    return 0
-
-
-def cmd_ingest(args) -> int:
-    """Ingest a foreign trace archive through a registered adapter.
-
-    ``--format auto`` sniffs the head lines against every adapter in
-    the registry (works on stdin too — the head is buffered and
-    replayed); an explicit ``--format`` must name a registered adapter.
-    The output is deterministic: the same input produces byte-identical
-    ``.rtb``/``.rtb.gz`` whether it came from a file or ``--in -``.
-    """
-    from repro.ingest import ingest
-
-    if args.input != "-" and not Path(args.input).is_file():
-        raise FileNotFoundError(f"trace not found: {args.input}")
-    metrics = MetricsRegistry() if args.metrics_out else None
-    stats = ingest(
-        args.input,
-        args.out,
-        fmt=args.format,
-        on_error=args.on_error,
-        window=args.reorder_window,
-        metrics=metrics,
-    )
-    if args.metrics_out:
-        _write_metrics(args.metrics_out, metrics)
-    skipped = (
-        f", {stats.skipped} skipped" if stats.skipped else ""
-    )
-    print(
-        f"ingested {stats.records} records from {stats.lines} "
-        f"{stats.adapter} line(s){skipped} -> {args.out}"
-    )
-    return 0
-
-
-def cmd_convert(args) -> int:
-    """Convert between trace formats.
-
-    nfsdump captures are imported through the ingest pipeline's
-    ``nfsdump`` adapter (``repro ingest`` is the general form — this
-    alias survives for scripts); native traces are transcoded
-    record-for-record.  ``--from auto`` takes a binary suffix as
-    native and otherwise asks the nfsdump adapter's sniffer.  ``--out``
-    picks the container: ``.rtb``/``.rtb.gz`` binary, anything else
-    text.
-    """
-    from repro.ingest import REGISTRY, ingest
-
-    if not Path(args.input).is_file():
-        # one message for a missing input, whichever branch reads it
-        raise FileNotFoundError(f"trace not found: {args.input}")
-    source_format = args.source_format
-    if source_format == "auto":
-        source_format = "native"
-        if not is_binary_trace_path(args.input):
-            try:
-                if REGISTRY.get("nfsdump").sniff(args.input) > 0.0:
-                    source_format = "nfsdump"
-            except (EOFError, OSError, zlib.error):
-                pass  # unreadable head: the native reader names the fault
-    if source_format == "nfsdump":
-        stats = ingest(args.input, args.out, fmt="nfsdump")
-        print(
-            f"converted {stats.records} of {stats.lines} lines "
-            f"({stats.skipped} skipped) -> {args.out}"
-        )
-        return 0
-    with _trace_out(args.out) as writer:
-        with TraceReader(args.input) as reader:
-            for record in reader:
-                writer.write(record)
-        writer.close()  # the count is final once closed
-        if writer.records_written == 0:
-            raise ValueError(f"no records in {args.input}")
-    print(f"converted {writer.records_written} records -> {args.out}")
     return 0
 
 

@@ -15,8 +15,12 @@ the server-observed workload:
   revalidation traffic.
 """
 
-from repro.client.cache import CachedFile, ClientCache
-from repro.client.nfsiod import NfsiodPool
-from repro.client.client import NfsClient, OpenFile
+from repro._lazy import lazy_exports
 
 __all__ = ["ClientCache", "CachedFile", "NfsiodPool", "NfsClient", "OpenFile"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "cache": ("CachedFile", "ClientCache"),
+    "nfsiod": ("NfsiodPool",),
+    "client": ("NfsClient", "OpenFile"),
+})

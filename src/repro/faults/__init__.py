@@ -4,25 +4,7 @@ See ``docs/FAULTS.md`` for the spec grammar, the determinism
 guarantee, and the ledger semantics the chaos tests verify.
 """
 
-from repro.faults.injector import FaultInjector
-from repro.faults.ledger import FaultLedger
-from repro.faults.spec import (
-    MAX_FAULT_DELAY,
-    CrashClause,
-    DelayClause,
-    DropClause,
-    DupClause,
-    FaultClause,
-    FaultSchedule,
-    ReorderClause,
-    SlowDiskClause,
-    crash,
-    delay,
-    drop,
-    dup,
-    reorder,
-    slowdisk,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "MAX_FAULT_DELAY",
@@ -43,3 +25,12 @@ __all__ = [
     "reorder",
     "slowdisk",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "injector": ("FaultInjector",),
+    "ledger": ("FaultLedger",),
+    "spec": ("MAX_FAULT_DELAY", "CrashClause", "DelayClause", "DropClause",
+             "DupClause", "FaultClause", "FaultSchedule", "ReorderClause",
+             "SlowDiskClause", "crash", "delay", "drop", "dup", "reorder",
+             "slowdisk"),
+})

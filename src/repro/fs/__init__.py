@@ -7,9 +7,7 @@ per-user quotas — without storing any file contents, since the paper's
 analyses never look at data bytes, only at offsets and counts.
 """
 
-from repro.fs.inode import Inode
-from repro.fs.blockmap import BLOCK_SIZE, block_count, block_range, bytes_to_blocks
-from repro.fs.filesystem import SimFileSystem
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Inode",
@@ -19,3 +17,10 @@ __all__ = [
     "block_range",
     "bytes_to_blocks",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "inode": ("Inode",),
+    "blockmap": ("BLOCK_SIZE", "block_count", "block_range",
+                 "bytes_to_blocks"),
+    "filesystem": ("SimFileSystem",),
+})

@@ -9,7 +9,11 @@
   of packets on CAMPUS (Section 4.1.4).
 """
 
-from repro.netsim.link import NetworkPath, wire_size
-from repro.netsim.mirror import MirrorPort
+from repro._lazy import lazy_exports
 
 __all__ = ["NetworkPath", "MirrorPort", "wire_size"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "link": ("NetworkPath", "wire_size"),
+    "mirror": ("MirrorPort",),
+})

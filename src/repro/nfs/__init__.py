@@ -8,18 +8,7 @@ shaped* — it captures exactly the fields the paper's analyses consume
 names) and nothing that a passive tracer could not observe.
 """
 
-from repro.nfs.procedures import (
-    NfsProc,
-    NfsVersion,
-    is_data_proc,
-    is_metadata_proc,
-    is_read_proc,
-    is_write_proc,
-)
-from repro.nfs.filehandle import FileHandle, HandleAllocator
-from repro.nfs.attributes import FileAttributes, FileType
-from repro.nfs.messages import NfsCall, NfsReply, NfsStatus
-from repro.nfs.rpc import RpcChannel, Transport
+from repro._lazy import lazy_exports
 
 __all__ = [
     "NfsProc",
@@ -38,3 +27,12 @@ __all__ = [
     "RpcChannel",
     "Transport",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "procedures": ("NfsProc", "NfsVersion", "is_data_proc", "is_metadata_proc",
+                   "is_read_proc", "is_write_proc"),
+    "filehandle": ("FileHandle", "HandleAllocator"),
+    "attributes": ("FileAttributes", "FileType"),
+    "messages": ("NfsCall", "NfsReply", "NfsStatus"),
+    "rpc": ("RpcChannel", "Transport"),
+})

@@ -24,38 +24,7 @@ pieces:
 See ``docs/OBSERVABILITY.md`` for the metric namespace and examples.
 """
 
-from repro.obs.eventlog import EventLog
-from repro.obs.gcpause import paused_gc
-from repro.obs.metrics import (
-    DEFAULT_TIME_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    format_sample_name,
-    log_buckets,
-)
-from repro.obs.promtext import (
-    escape_label_value,
-    parse_prom_text,
-    prom_name,
-    to_prom_text,
-)
-from repro.obs.rotate import (
-    RotatingEventLog,
-    RotatingTraceWriter,
-    RotationPolicy,
-    list_segments,
-    partial_segments,
-)
-from repro.obs.spans import (
-    HOPS,
-    SpanRecorder,
-    sample_decision,
-    span_id,
-    trace_id,
-)
-from repro.obs.timers import PhaseTimer
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Counter",
@@ -83,3 +52,17 @@ __all__ = [
     "to_prom_text",
     "trace_id",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "eventlog": ("EventLog",),
+    "gcpause": ("paused_gc",),
+    "metrics": ("DEFAULT_TIME_BUCKETS", "Counter", "Gauge", "Histogram",
+                "MetricsRegistry", "format_sample_name", "log_buckets"),
+    "promtext": ("escape_label_value", "parse_prom_text", "prom_name",
+                 "to_prom_text"),
+    "rotate": ("RotatingEventLog", "RotatingTraceWriter", "RotationPolicy",
+               "list_segments", "partial_segments"),
+    "spans": ("HOPS", "SpanRecorder", "sample_decision", "span_id",
+              "trace_id"),
+    "timers": ("PhaseTimer",),
+})

@@ -5,7 +5,11 @@ ASCII; figures are emitted as aligned data series (and simple ASCII
 plots) so results are diffable and greppable without a plotting stack.
 """
 
-from repro.report.tables import format_table
-from repro.report.figures import ascii_plot, format_series
+from repro._lazy import lazy_exports
 
 __all__ = ["format_table", "format_series", "ascii_plot"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "tables": ("format_table",),
+    "figures": ("ascii_plot", "format_series"),
+})

@@ -10,29 +10,8 @@ CI-build, HPC-scratch, backup-sweep, and flash-crowd shapes.  See
 docs/SCENARIOS.md for the grammar reference and authoring guide.
 """
 
+from repro._lazy import lazy_exports
 from repro.errors import ScenarioSpecError
-from repro.scenarios.spec import (
-    Dist,
-    DiurnalClause,
-    FilesetClause,
-    FlashCrowdClause,
-    FlowopClause,
-    HostsClause,
-    ModelClause,
-    PopulationClause,
-    ScenarioClause,
-    ScenarioDecl,
-    ScenarioSpec,
-)
-from repro.scenarios.compile import CompiledScenario, compile_workload
-from repro.scenarios.generator import ScenarioWorkload
-from repro.scenarios.library import (
-    LIBRARY,
-    get_scenario,
-    load_scenario,
-    scenario_names,
-)
-from repro.scenarios.fit import fit_scenario
 
 __all__ = [
     "CompiledScenario",
@@ -56,3 +35,13 @@ __all__ = [
     "load_scenario",
     "scenario_names",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "spec": ("Dist", "DiurnalClause", "FilesetClause", "FlashCrowdClause",
+             "FlowopClause", "HostsClause", "ModelClause", "PopulationClause",
+             "ScenarioClause", "ScenarioDecl", "ScenarioSpec"),
+    "compile": ("CompiledScenario", "compile_workload"),
+    "generator": ("ScenarioWorkload",),
+    "library": ("LIBRARY", "get_scenario", "load_scenario", "scenario_names"),
+    "fit": ("fit_scenario",),
+})

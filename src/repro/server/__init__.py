@@ -10,13 +10,7 @@
   under ~10% reordering" experiment can be reproduced.
 """
 
-from repro.server.nfs_server import NfsServer
-from repro.server.disk import DiskModel
-from repro.server.readahead import (
-    ReadAheadEngine,
-    SequentialityMetricHeuristic,
-    StrictSequentialHeuristic,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "NfsServer",
@@ -25,3 +19,10 @@ __all__ = [
     "StrictSequentialHeuristic",
     "SequentialityMetricHeuristic",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "nfs_server": ("NfsServer",),
+    "disk": ("DiskModel",),
+    "readahead": ("ReadAheadEngine", "SequentialityMetricHeuristic",
+                  "StrictSequentialHeuristic"),
+})

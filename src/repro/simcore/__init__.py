@@ -12,8 +12,12 @@ through this package:
   the draws seen by existing consumers.
 """
 
-from repro.simcore.clock import SimClock
-from repro.simcore.events import Event, EventLoop
-from repro.simcore.rng import RngRegistry
+from repro._lazy import lazy_exports
 
 __all__ = ["SimClock", "Event", "EventLoop", "RngRegistry"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "clock": ("SimClock",),
+    "events": ("Event", "EventLoop"),
+    "rng": ("RngRegistry",),
+})

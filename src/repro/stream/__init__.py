@@ -21,30 +21,7 @@ it publishes ``/metrics`` and ``/spans`` to in the ``repro monitor``
 daemon.
 """
 
-from repro.stream.engine import StreamAnalysis, StreamEngine
-from repro.stream.analyses import (
-    LIFETIME_BUCKET_BOUNDS,
-    StreamLatency,
-    StreamLifetimeReport,
-    StreamLifetimes,
-    StreamRates,
-    StreamRuns,
-    StreamStats,
-    StreamSummary,
-    StreamTopFiles,
-)
-from repro.stream.live import LiveWatch
-from repro.stream.monitor import MonitorServer
-from repro.stream.operators import (
-    ExpDecayRate,
-    P2Quantile,
-    ReservoirSample,
-    RunningStats,
-    SlidingWindow,
-    SpaceSaving,
-    TumblingWindow,
-    fold_stream,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "StreamAnalysis",
@@ -69,3 +46,16 @@ __all__ = [
     "TumblingWindow",
     "fold_stream",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "engine": ("StreamAnalysis", "StreamEngine"),
+    "analyses": ("LIFETIME_BUCKET_BOUNDS", "StreamLatency",
+                 "StreamLifetimeReport", "StreamLifetimes", "StreamRates",
+                 "StreamRuns", "StreamStats", "StreamSummary",
+                 "StreamTopFiles"),
+    "live": ("LiveWatch",),
+    "monitor": ("MonitorServer",),
+    "operators": ("ExpDecayRate", "P2Quantile", "ReservoirSample",
+                  "RunningStats", "SlidingWindow", "SpaceSaving",
+                  "TumblingWindow", "fold_stream"),
+})

@@ -15,16 +15,7 @@ path and releases records to its sinks in wire order as the event
 loop's clock passes them.
 """
 
-from repro.trace.binfmt import (
-    BinaryTraceDecoder,
-    BinaryTraceEncoder,
-    is_binary_trace_path,
-    read_binary_trace,
-)
-from repro.trace.record import Direction, TraceRecord
-from repro.trace.writer import TraceWriter, write_trace
-from repro.trace.reader import TraceReader, read_trace
-from repro.trace.collector import TraceCollector
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BinaryTraceDecoder",
@@ -39,3 +30,12 @@ __all__ = [
     "write_trace",
     "read_trace",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "binfmt": ("BinaryTraceDecoder", "BinaryTraceEncoder",
+               "is_binary_trace_path", "read_binary_trace"),
+    "record": ("Direction", "TraceRecord"),
+    "writer": ("TraceWriter", "write_trace"),
+    "reader": ("TraceReader", "read_trace"),
+    "collector": ("TraceCollector",),
+})

@@ -60,6 +60,7 @@ import gzip
 import io
 import zlib
 from dataclasses import fields as dataclass_fields
+from functools import cache
 from heapq import heapify, heappop, heapreplace
 from operator import attrgetter
 from pathlib import Path
@@ -398,8 +399,10 @@ _GET_FIELDS = attrgetter(
 _FLUSH_BYTES = 1 << 18
 
 
+@cache
 def _compile_block_encoder():
-    """Build the unrolled per-record encode loop.
+    """Build the unrolled per-record encode loop, once, on first use
+    (a process that only decodes never compiles it).
 
     The loop body is generated source (the same technique namedtuple
     uses): one branch per optional field instead of a ``for`` over
@@ -477,20 +480,17 @@ def _compile_block_encoder():
     return namespace["_encode_block"]
 
 
-_ENCODE_BLOCK = _compile_block_encoder()
-
-
 class BinaryTraceEncoder:
     """Streams records into an open binary file object.
 
     The encoder owns the string table, not the file: callers handle
     opening/closing (see :class:`repro.trace.writer.TraceWriter`).
 
-    Records are packed by :data:`_ENCODE_BLOCK` — an unrolled,
-    generated loop with one precompiled ``Struct`` per presence bitmap
-    covering frame head + record head + body — into a pending buffer.
-    By default every :meth:`encode`/:meth:`encode_block` call flushes
-    that buffer, so the file object is current after each call.  With
+    Records are packed into a pending buffer by the unrolled, generated
+    loop of :func:`_compile_block_encoder`, with one precompiled
+    ``Struct`` per presence bitmap covering frame head + record head +
+    body.  By default every :meth:`encode`/:meth:`encode_block` call
+    flushes that buffer, so the file object is current after each call.  With
     ``buffered=True`` output accumulates until :meth:`flush` (or until
     the buffer passes ~256 KiB), coalescing many small frame writes
     into one file write; ``bytes_written`` always counts the pending
@@ -508,6 +508,7 @@ class BinaryTraceEncoder:
         #: bitmap -> (combined frame Struct, payload length) cache
         self._packers: dict[int, tuple[Struct, int]] = {}
         self._pend = bytearray()
+        self._encode_block = _compile_block_encoder()
         self._buffered = buffered
         self.records_written = 0
         header = MAGIC + _VERSION_STRUCT.pack(FORMAT_VERSION)
@@ -538,7 +539,7 @@ class BinaryTraceEncoder:
     def encode_block(self, records) -> None:
         """Append an iterable of records to the stream."""
         try:
-            self.records_written += _ENCODE_BLOCK(
+            self.records_written += self._encode_block(
                 records, self._strings, self._define,
                 self._packers, self._make_packer, self._pend,
             )

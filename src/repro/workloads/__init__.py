@@ -15,21 +15,7 @@ system, server, network, mirror port, collector, and clients into one
 runnable simulation.
 """
 
-from repro.workloads.base import WorkloadGenerator
-from repro.workloads.diurnal import DiurnalModel
-from repro.workloads.users import User, UserPopulation
-from repro.workloads.harness import TracedSystem
-from repro.workloads.email_campus import CampusEmailWorkload, CampusParams
-from repro.workloads.research_eecs import EecsResearchWorkload, EecsParams
-# imported last: sharding composes the workloads above
-from repro.workloads.sharding import (
-    DEFAULT_GROUPS,
-    GroupSpec,
-    ShardRun,
-    partition_users,
-    plan_shards,
-    run_sharded,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "WorkloadGenerator",
@@ -48,3 +34,14 @@ __all__ = [
     "plan_shards",
     "run_sharded",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("WorkloadGenerator",),
+    "diurnal": ("DiurnalModel",),
+    "users": ("User", "UserPopulation"),
+    "harness": ("TracedSystem",),
+    "email_campus": ("CampusEmailWorkload", "CampusParams"),
+    "research_eecs": ("EecsResearchWorkload", "EecsParams"),
+    "sharding": ("DEFAULT_GROUPS", "GroupSpec", "ShardRun", "partition_users",
+                 "plan_shards", "run_sharded"),
+})

@@ -58,6 +58,8 @@ from repro.obs.eventlog import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import sample_threshold
 from repro.parallel import claim_segment, publish_segment, run_tasks
+from repro.scenarios.compile import compile_workload
+from repro.scenarios.library import load_scenario
 from repro.simcore.clock import SECONDS_PER_DAY
 from repro.trace.binfmt import (
     BinaryTraceDecoder,
@@ -212,10 +214,6 @@ def build_group_world(
     canonical spec text (see :func:`run_sharded`), so a group world
     never depends on the worker seeing the parent's files.
     """
-    # deferred import: repro.scenarios sits on top of the workload
-    # submodules this package initializes before sharding
-    from repro.scenarios import compile_workload
-
     compiled = compile_workload(system_name, users=users, group=group)
     system = TracedSystem.for_group(
         seed, group,
@@ -525,8 +523,6 @@ def run_sharded(
     merged stream and the tallies, mirroring ``repro simulate``'s
     warm-up-Sunday convention.
     """
-    from repro.scenarios import load_scenario
-
     if shards < 1:
         raise ValueError(f"--shards must be >= 1, got {shards}")
     if days <= 0:
@@ -567,6 +563,12 @@ def run_sharded(
         outcomes = [_run_group(task, gid) for gid in task.gids]
         shard_walls = [_time.perf_counter() - inline_started]
     else:
+        # the flowop interpreter, which compile_workload imports on
+        # demand, loaded before the pool forks: the workers inherit it
+        # instead of each importing (and, without a bytecode cache,
+        # compiling) its own copy
+        import repro.scenarios.generator  # noqa: F401
+
         workdir = tempfile.mkdtemp(prefix="repro-shard-")
         tasks = [
             ShardTask(gids=gids, workdir=workdir, **base_task)

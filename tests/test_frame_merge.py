@@ -262,8 +262,8 @@ class TestCorruptPayloads:
 
 
 def test_nothing_compiles_at_import():
-    """Transcoders and builders compile on first use, so importing the
-    CLI costs no compile time."""
+    """Encoders, transcoders and builders compile on first use, so
+    importing the CLI costs no compile time."""
     code = (
         "import repro.cli.main\n"
         "from repro.analysis import opsegment\n"
@@ -271,6 +271,9 @@ def test_nothing_compiles_at_import():
         "assert not binfmt._TRANSCODERS, binfmt._TRANSCODERS\n"
         "assert not binfmt._BUILDERS, binfmt._BUILDERS\n"
         "assert not opsegment._BUILDERS, opsegment._BUILDERS\n"
+        "for encoder in (binfmt._compile_block_encoder,\n"
+        "                opsegment._compile_op_encoder):\n"
+        "    assert not encoder.cache_info().currsize, encoder\n"
     )
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

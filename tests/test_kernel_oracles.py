@@ -12,6 +12,7 @@ state and errors.
 
 from __future__ import annotations
 
+import importlib
 import io
 import struct
 from bisect import insort
@@ -1042,6 +1043,39 @@ class TestCharacterizeOracle:
         ]
         got = characterize(ops, 0.0, end, lifetime_phase_end=phase_end)
         assert got.death_delete_fraction == 0.0
+        assert repr(got) == repr(_reference_characterize(
+            ops, 0.0, end, lifetime_phase_end=phase_end))
+
+    @pytest.mark.parametrize("end, phase_end", [(20.0, None), (60.0, 40.0)])
+    def test_call_ordered_ops_past_phase_two_share_the_namespace(
+            self, monkeypatch, end, phase_end):
+        # call order (batch ``analyze --end``, ``report --end``): the ops
+        # past phase 2 come after every other op, so lifetimes folds the
+        # ops before them over the one shared namespace (the package
+        # attribute of the same name is the function)
+        characterize_module = importlib.import_module(
+            "repro.analysis.characterize")
+        shared = []
+
+        class Recording(BlockLifetimeAnalyzer):
+            def __init__(self, *args, hierarchy=None):
+                shared.append(hierarchy is not None)
+                super().__init__(*args, hierarchy=hierarchy)
+
+        monkeypatch.setattr(characterize_module, "BlockLifetimeAnalyzer",
+                            Recording)
+        ops = [
+            op(NfsProc.LOOKUP, 1.0, "d1", name="x", reply_fh="f9",
+               post_size=0),
+            op(NfsProc.WRITE, 2.0, "f9", 0, 8192, post_size=8192),
+            op(NfsProc.REMOVE, 3.0, "d1", name="x"),
+            op(NfsProc.CREATE, 50.0, "d1", name="x", reply_fh="f8",
+               post_size=0),
+            op(NfsProc.WRITE, 51.0, "f8", 0, 8192, post_size=8192),
+        ]
+        got = characterize(ops, 0.0, end, lifetime_phase_end=phase_end)
+        assert shared == [True]
+        assert got.death_delete_fraction == 1.0
         assert repr(got) == repr(_reference_characterize(
             ops, 0.0, end, lifetime_phase_end=phase_end))
 
