@@ -239,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_window_args(analyze)
     analyze.add_argument("--jobs", type=int, default=1,
                          help="worker processes for decode+pairing; "
-                              "results are identical for every value")
+                              "results are identical for every value "
+                              "(ignored with --stream, which is one pass)")
     analyze.add_argument("--window-ms", type=float, default=10.0,
                          help="reorder window (paper: 10 CAMPUS, 5 EECS)")
     analyze.add_argument("--jumps", type=int, default=10,

@@ -3,11 +3,12 @@
 Each class here is a :class:`~repro.stream.engine.StreamAnalysis` that
 reproduces a batch analysis in one bounded-memory pass:
 
-* :class:`StreamSummary` — Table 2 daily activity.  **Exact**: it
-  accumulates through the same :meth:`TraceSummary.add
-  <repro.analysis.summary.TraceSummary.add>` the batch path uses, so
-  totals are identical field-for-field; per-day sub-summaries flush
-  through a tumbling window.
+* :class:`StreamSummary` — Table 2 daily activity.  **Exact**: each op
+  folds once, into its day's summary, through the same
+  :meth:`TraceSummary.add <repro.analysis.summary.TraceSummary.add>`
+  the batch path uses; per-day sub-summaries flush through a tumbling
+  window, and the totals are their field-wise sum, so they are
+  identical to the batch totals field-for-field.
 * :class:`StreamRuns` — Table 3 run patterns.  **Exact**: ops flow
   through :class:`~repro.analysis.reorder.StreamReorderer` (the one
   reorder pass) into a sink-mode :class:`~repro.analysis.runs.RunBuilder`
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.analysis.lifetimes import BlockLifetimeAnalyzer, _FileState
 from repro.analysis.pairing import PairedOp
@@ -44,6 +45,8 @@ from repro.analysis.runs import (
     RunPatternTally,
 )
 from repro.analysis.summary import TraceSummary
+from repro.nfs.messages import NfsStatus
+from repro.nfs.procedures import NfsProc
 from repro.obs.metrics import Histogram
 from repro.simcore.clock import SECONDS_PER_DAY
 from repro.stream.engine import StreamAnalysis
@@ -56,6 +59,14 @@ from repro.stream.operators import (
 )
 from repro.trace.record import TraceRecord
 
+_READ, _WRITE, _OK = NfsProc.READ, NfsProc.WRITE, NfsStatus.OK
+
+#: the integer counts of a :class:`TraceSummary`, which sum across days
+_COUNT_FIELDS = tuple(
+    f.name for f in fields(TraceSummary)
+    if f.name not in ("start", "end", "ops_by_proc")
+)
+
 
 class StreamSummary(StreamAnalysis):
     """Online Table 2: exact totals plus per-day tumbling summaries.
@@ -64,6 +75,11 @@ class StreamSummary(StreamAnalysis):
     ``[min(op.time), max(op.time) + 1e-6)`` — which is exactly the
     default the batch CLI uses, so the finished summary matches
     :func:`~repro.analysis.summary.summarize_trace` byte-for-byte.
+
+    Each op is folded once, into its day's summary.  :attr:`totals` is
+    the field-wise sum of the day rows, flushed and open, plus the ops
+    that arrived behind a flushed day (dropped from the rows as late);
+    every field is an integer count, so the sum is exact.
     """
 
     name = "summary"
@@ -79,9 +95,11 @@ class StreamSummary(StreamAnalysis):
     ) -> None:
         self.start = start
         self.end = end
-        self.totals = TraceSummary(start=start or 0.0, end=end or 0.0)
         #: flushed (start, end, TraceSummary) per-day rows, in order
         self.daily: list[tuple[float, float, TraceSummary]] = []
+        #: the ops a flushed day dropped as late
+        self._late = TraceSummary(start=0.0, end=0.0)
+        self._final: TraceSummary | None = None
         self._min = math.inf
         self._max = -math.inf
         self._days = TumblingWindow(
@@ -102,19 +120,37 @@ class StreamSummary(StreamAnalysis):
             self._min = time
         if time > self._max:
             self._max = time
-        self.totals.add(op)
-        self._days.add(time, op)
+        if not self._days.add(time, op):
+            self._late.add(op)
+
+    @property
+    def totals(self) -> TraceSummary:
+        """Every op folded so far (final once finished)."""
+        if self._final is not None:
+            return self._final
+        totals = TraceSummary(start=self.start or 0.0, end=self.end or 0.0)
+        parts = [row for _, _, row in self.daily]
+        parts += self._days.pending()
+        parts.append(self._late)
+        for part in parts:
+            for name in _COUNT_FIELDS:
+                setattr(totals, name, getattr(totals, name) + getattr(part, name))
+            totals.ops_by_proc.update(part.ops_by_proc)
+        return totals
 
     def advance(self, watermark: float) -> None:
         self._days.advance(watermark)
 
     def finish(self) -> None:
         self._days.finish()
-        if self.totals.total_ops:
-            self.totals.start = self.start if self.start is not None else self._min
-            self.totals.end = self.end if self.end is not None else self._max + 1e-6
+        self._final = None
+        totals = self.totals
+        if totals.total_ops:
+            totals.start = self.start if self.start is not None else self._min
+            totals.end = self.end if self.end is not None else self._max + 1e-6
         elif self.start is not None and self.end is not None:
-            self.totals.start, self.totals.end = self.start, self.end
+            totals.start, totals.end = self.start, self.end
+        self._final = totals
 
     def result(self) -> TraceSummary:
         return self.totals
@@ -149,7 +185,8 @@ class StreamRuns(StreamAnalysis):
         self._reorderer = StreamReorderer(window, self._builder.feed)
 
     def process_op(self, op: PairedOp) -> None:
-        if not (op.is_read() or op.is_write()):
+        proc = op.proc
+        if proc is not _READ and proc is not _WRITE:
             return
         time = op.time
         if self.start is not None and time < self.start:
@@ -358,7 +395,7 @@ class StreamStats(StreamAnalysis):
 
     def process_op(self, op: PairedOp) -> None:
         self.paired[op.proc.value] += 1
-        if not op.ok():
+        if op.status is not _OK:
             self.errors[op.proc.value] += 1
 
     def result(self) -> "StreamStats":
@@ -380,8 +417,10 @@ class StreamTopFiles(StreamAnalysis):
         if fh is None:
             return
         self.by_ops.add(fh)
-        if (op.is_read() or op.is_write()) and op.ok() and op.count:
-            self.by_bytes.add(fh, op.count)
+        if op.status is _OK and op.count:
+            proc = op.proc
+            if proc is _READ or proc is _WRITE:
+                self.by_bytes.add(fh, op.count)
 
     def result(self) -> dict:
         return {
@@ -410,7 +449,17 @@ class StreamLatency(StreamAnalysis):
         latency = op.reply_time - op.time
         if latency < 0:
             return
-        self.stats.add(latency)
+        # RunningStats.add, inline: the same float operations in order
+        stats = self.stats
+        count = stats.count = stats.count + 1
+        stats.total += latency
+        if latency < stats.minimum:
+            stats.minimum = latency
+        if latency > stats.maximum:
+            stats.maximum = latency
+        delta = latency - stats._mean
+        mean = stats._mean = stats._mean + delta / count
+        stats._m2 += delta * (latency - mean)
         self._median.add(latency)
         self._tail.add(latency)
 
@@ -440,8 +489,10 @@ class StreamRates(StreamAnalysis):
 
     def process_op(self, op: PairedOp) -> None:
         self.ops.observe(op.time)
-        if (op.is_read() or op.is_write()) and op.ok() and op.count:
-            self.bytes.observe(op.time, op.count)
+        if op.status is _OK and op.count:
+            proc = op.proc
+            if proc is _READ or proc is _WRITE:
+                self.bytes.observe(op.time, op.count)
 
     def advance(self, watermark: float) -> None:
         self._watermark = watermark

@@ -151,19 +151,7 @@ class StreamEngine:
 
     def feed(self, record: TraceRecord) -> None:
         """Consume one record (live-tap entry point)."""
-        self.records += 1
-        time = record.time
-        if time > self.watermark:
-            self.watermark = time
-        for handler in self._record_handlers:
-            handler(record)
-        op = self.pairer.push(record)
-        if op is not None:
-            self.ops += 1
-            for handler in self._op_handlers:
-                handler(op)
-        if self.records % self.advance_every == 0:
-            self._advance()
+        self._consume((record,))
 
     def run(self, records: Iterable[TraceRecord]) -> dict[str, Any]:
         """Feed a whole stream, finish, and return all results.
@@ -174,11 +162,43 @@ class StreamEngine:
         frees each as soon as it is consumed, and the collections their
         allocations trigger would scan them to free nothing.
         """
-        feed = self.feed
         with paused_gc():
-            for record in records:
-                feed(record)
+            self._consume(records)
             return self.finish()
+
+    def _consume(self, records: Iterable[TraceRecord]) -> None:
+        """The pass: every record to the record handlers and the pairer,
+        every op it completes to the op handlers, and a watermark
+        advance every ``advance_every`` records.
+
+        ``run`` drives it over a whole stream and ``feed`` over one
+        record.  The counters live in locals and are written back
+        before each advance and on the way out, even when an analysis
+        raises.
+        """
+        record_handlers = self._record_handlers
+        op_handlers = self._op_handlers
+        push = self.pairer.push
+        every = self.advance_every
+        count, ops, watermark = self.records, self.ops, self.watermark
+        try:
+            for record in records:
+                count += 1
+                time = record.time
+                if time > watermark:
+                    watermark = time
+                for handler in record_handlers:
+                    handler(record)
+                op = push(record)
+                if op is not None:
+                    ops += 1
+                    for handler in op_handlers:
+                        handler(op)
+                if count % every == 0:
+                    self.records, self.ops, self.watermark = count, ops, watermark
+                    self._advance()
+        finally:
+            self.records, self.ops, self.watermark = count, ops, watermark
 
     def finish(self) -> dict[str, Any]:
         """Close the stream; returns ``{analysis.name: result, ...}``.

@@ -45,6 +45,15 @@ class SpaceSaving:
     its *error* bound: every reported count overestimates the true
     count by at most the reported error, and any item whose true count
     exceeds the smallest tracked count is guaranteed to be present.
+
+    The victim is the least ``(count, item)``, found through a min-heap
+    that holds one ``(count, item)`` entry per tracked item.  An
+    increment leaves the item's entry as it is, a lower bound of its
+    count; an eviction refreshes a stale top (re-pushes it with its
+    count) until the top is current, and that top is the least.  A
+    decrease pushes a new entry, keeping every item's least entry at or
+    below its count; entries left by an evicted item are skipped, and
+    the heap is compacted when it outgrows 4x the capacity.
     """
 
     __slots__ = ("capacity", "_counts", "_heap")
@@ -55,8 +64,8 @@ class SpaceSaving:
         self.capacity = capacity
         #: item -> [count, error]
         self._counts: dict[Any, list] = {}
-        #: lazy min-heap of (count, item) snapshots; stale entries are
-        #: skipped on pop and compacted when the heap outgrows 4x cap
+        #: min-heap of (count, item): one entry per tracked item, at or
+        #: below its count, plus what decreases pushed
         self._heap: list[tuple[float, Any]] = []
 
     def add(self, item: Any, weight: float = 1) -> None:
@@ -64,23 +73,37 @@ class SpaceSaving:
         entry = self._counts.get(item)
         if entry is not None:
             entry[0] += weight
+            if weight >= 0:
+                return
             heapq.heappush(self._heap, (entry[0], item))
         elif len(self._counts) < self.capacity:
             self._counts[item] = [weight, 0]
             heapq.heappush(self._heap, (weight, item))
         else:
-            count, victim = self._pop_min()
+            count, victim = self._least()
             del self._counts[victim]
             self._counts[item] = [count + weight, count]
-            heapq.heappush(self._heap, (count + weight, item))
+            heapq.heapreplace(self._heap, (count + weight, item))
+            return
         if len(self._heap) > 4 * self.capacity:
             self._compact()
 
-    def _pop_min(self) -> tuple[float, Any]:
+    def _least(self) -> tuple[float, Any]:
+        """The least tracked ``(count, item)``, left on top of the heap.
+
+        Entries of untracked items are dropped and stale ones refreshed
+        until the top entry is current; every other tracked item has an
+        entry at or below its count, so the top is the least.
+        """
+        heap, counts = self._heap, self._counts
         while True:
-            count, item = heapq.heappop(self._heap)
-            entry = self._counts.get(item)
-            if entry is not None and entry[0] == count:
+            count, item = heap[0]
+            entry = counts.get(item)
+            if entry is None:
+                heapq.heappop(heap)
+            elif entry[0] > count:
+                heapq.heapreplace(heap, (entry[0], item))
+            else:
                 return count, item
 
     def _compact(self) -> None:
@@ -323,9 +346,10 @@ class TumblingWindow:
     :meth:`advance` flushes every window whose end (plus the allowed
     ``lateness``) has passed the watermark, calling ``sink(start, end,
     accumulator)`` in window order.  Events for an already-flushed
-    window are dropped and counted in ``late_drops``.  Memory is
-    bounded by ``max_open`` concurrently open windows (exceeding it
-    raises :class:`~repro.errors.StreamMemoryError`).
+    window are dropped and counted in ``late_drops`` (:meth:`add`
+    returns False for them).  Memory is bounded by ``max_open``
+    concurrently open windows (exceeding it raises
+    :class:`~repro.errors.StreamMemoryError`).
     """
 
     def __init__(
@@ -359,12 +383,13 @@ class TumblingWindow:
         start = self.origin + index * self.width
         return start, start + self.width
 
-    def add(self, t: float, *args) -> None:
-        """Route one event at time ``t`` to its window."""
+    def add(self, t: float, *args) -> bool:
+        """Route one event at time ``t`` to its window; False when the
+        window was already flushed and the event is dropped as late."""
         index = self._index(t)
         if self._flushed_below is not None and index < self._flushed_below:
             self.late_drops += 1
-            return
+            return False
         acc = self._open.get(index)
         if acc is None:
             if len(self._open) >= self.max_open:
@@ -375,6 +400,7 @@ class TumblingWindow:
             acc = self.factory(*self.bounds(index))
             self._open[index] = acc
         acc.add(*args)
+        return True
 
     def advance(self, watermark: float) -> None:
         """Flush every window closed as of ``watermark``."""
@@ -393,6 +419,10 @@ class TumblingWindow:
         """Flush every still-open window (end of stream)."""
         for index in sorted(self._open):
             self._flush(index)
+
+    def pending(self) -> list[Any]:
+        """The open windows' accumulators, in window order."""
+        return [self._open[index] for index in sorted(self._open)]
 
     def _flush(self, index: int) -> None:
         acc = self._open.pop(index)

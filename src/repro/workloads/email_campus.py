@@ -29,6 +29,7 @@ are locks and ~20% inboxes, >95% of bytes move through mailboxes, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.fs.blockmap import BLOCK_SIZE
 from repro.nfs.procedures import NfsVersion
@@ -37,8 +38,10 @@ from repro.simcore.clock import SECONDS_PER_DAY
 from repro.workloads import namespaces
 from repro.workloads.base import WorkloadGenerator
 from repro.workloads.diurnal import DiurnalModel
-from repro.workloads.harness import TracedSystem
 from repro.workloads.users import User, UserPopulation
+
+if TYPE_CHECKING:
+    from repro.workloads.harness import TracedSystem
 
 
 @dataclass

@@ -28,6 +28,7 @@ with the activity mix the paper attributes to EECS:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.fs.blockmap import BLOCK_SIZE
 from repro.nfs.procedures import NfsVersion
@@ -36,8 +37,10 @@ from repro.simcore.clock import SECONDS_PER_DAY
 from repro.workloads import namespaces
 from repro.workloads.base import WorkloadGenerator
 from repro.workloads.diurnal import DiurnalModel
-from repro.workloads.harness import TracedSystem
 from repro.workloads.users import User, UserPopulation
+
+if TYPE_CHECKING:
+    from repro.workloads.harness import TracedSystem
 
 
 @dataclass

@@ -224,10 +224,15 @@ class TestAnalyzeDigests:
             "68c7a5eea6dcf2e43ed19f24b4ee6974c78a47c7136ccd8c5e038eeb9606d2a9",
     }
 
-    #: sha256 of the other batch reports' stdout, per (trace, command):
-    #: lifetimes' own phases, report's characterization and the names
-    #: census and predictions
+    #: sha256 of the other reports' stdout, per (trace, command):
+    #: lifetimes' own phases, report's characterization, the names
+    #: census and predictions, and the stats tallies, which the
+    #: engine's ``process_record`` path feeds
     PINNED_REPORTS = {
+        ("campus", "stats"):
+            "7eca728d9ae6b1fb3e0cdce2db528f9ad6e1ca10a2dd4bb03289c8d8bf451307",
+        ("eecs", "stats"):
+            "a75172bccf73210c893fb05893f75d87a7a3212179de5a8511ec57e2eec005ec",
         ("campus", "report"):
             "ba06b90a75f5e693cc14b7731543921b095f31057ce48022eb69f0e945ff4d0a",
         ("campus", "lifetimes"):
@@ -261,8 +266,9 @@ class TestAnalyzeDigests:
                 out = capsys.readouterr().out
                 assert (hashlib.sha256(out.encode()).hexdigest()
                         == self.PINNED[name, mode[0]]), (name, mode)
-            for command in ("report", "lifetimes", "names"):
-                assert main([command, "--in", trace]) == 0
+            for command in ("report", "lifetimes", "names", "stats"):
+                argv = [trace] if command == "stats" else ["--in", trace]
+                assert main([command, *argv]) == 0
                 out = capsys.readouterr().out
                 assert (hashlib.sha256(out.encode()).hexdigest()
                         == self.PINNED_REPORTS[name, command]), (name, command)

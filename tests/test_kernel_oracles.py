@@ -2,21 +2,26 @@
 
 Each kernel here was rewritten for speed: the binary decoder's
 generated per-bitmap record builders, the unrolled P² update,
-``RunBuilder.feed``, the op-segment decoder's generated builders, and
-the one-pass ``characterize`` with the lean ``observe`` of each
-analyzer it runs.  Each test drives the kernel and a plain reference —
-the generic builder, or a verbatim copy of the textbook loop kept in
-this file — over the same random input and requires the same result,
-state and errors.
+``RunBuilder.feed``, the op-segment decoder's generated builders, the
+one-pass ``characterize`` with the lean ``observe`` of each analyzer it
+runs, and the stream pass's ``SpaceSaving`` heap, single-fold
+``StreamSummary`` and one engine loop.  Each test drives the kernel and
+a plain reference — the generic builder, or a verbatim copy of the
+textbook loop kept in this file — over the same random input and
+requires the same result, state and errors.
 """
 
 from __future__ import annotations
 
+import heapq
 import importlib
 import io
+import math
 import struct
 from bisect import insort
 from collections import Counter
+from dataclasses import fields as dataclass_fields
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -43,14 +48,22 @@ from repro.analysis.names import NameCategoryAnalyzer
 from repro.analysis.opsegment import decode_ops, encode_ops
 from repro.analysis.pairing import PairedOp, call_order_key
 from repro.analysis.runs import Access, Run, RunBuilder
-from repro.analysis.summary import summarize_trace
-from repro.errors import TraceFormatError
+from repro.analysis.summary import TraceSummary, summarize_trace
+from repro.errors import StreamMemoryError, TraceFormatError
 from repro.fs.blockmap import block_count, block_of, block_range
 from repro.nfs.messages import NfsStatus
 from repro.nfs.procedures import NfsProc
-from repro.simcore.clock import SECONDS_PER_HOUR
-from repro.stream.analyses import StreamLifetimes
-from repro.stream.operators import P2Quantile
+from repro.simcore.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR
+from repro.stream.analyses import (
+    StreamLatency,
+    StreamLifetimes,
+    StreamRuns,
+    StreamStats,
+    StreamSummary,
+    StreamTopFiles,
+)
+from repro.stream.engine import StreamAnalysis, StreamEngine
+from repro.stream.operators import P2Quantile, SpaceSaving, TumblingWindow
 from repro.trace import binfmt
 from repro.trace.binfmt import (
     FORMAT_VERSION,
@@ -66,6 +79,8 @@ from repro.workloads.namespaces import (
     classify_name,
 )
 from tests.helpers import op
+from tests.test_analysis_parallel import make_stream
+from tests.test_stream_equivalence import record_streams
 
 # -- decoder: generated builders against the generic builder -------------------
 
@@ -1151,3 +1166,403 @@ class TestCharacterizeOracle:
         assert got.histogram.counts == want.histogram.counts
         got.histogram = want.histogram = None
         assert repr(got) == repr(want)
+
+
+# -- the stream pass: SpaceSaving, StreamSummary and the engine loop ---------
+
+
+class _ReferenceSpaceSaving:
+    """Space-saving over a lazy heap that takes a ``(count, item)``
+    entry on every change, skips stale ones on pop and is compacted at
+    4x the capacity."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._counts: dict = {}
+        self._heap: list = []
+
+    def add(self, item, weight=1) -> None:
+        entry = self._counts.get(item)
+        if entry is not None:
+            entry[0] += weight
+            heapq.heappush(self._heap, (entry[0], item))
+        elif len(self._counts) < self.capacity:
+            self._counts[item] = [weight, 0]
+            heapq.heappush(self._heap, (weight, item))
+        else:
+            count, victim = self._pop_min()
+            del self._counts[victim]
+            self._counts[item] = [count + weight, count]
+            heapq.heappush(self._heap, (count + weight, item))
+        if len(self._heap) > 4 * self.capacity:
+            self._heap = [(e[0], i) for i, e in self._counts.items()]
+            heapq.heapify(self._heap)
+
+    def _pop_min(self):
+        while True:
+            count, item = heapq.heappop(self._heap)
+            entry = self._counts.get(item)
+            if entry is not None and entry[0] == count:
+                return count, item
+
+    def top(self, k: int):
+        ranked = sorted(
+            self._counts.items(), key=lambda kv: kv[1][0], reverse=True
+        )
+        return [(item, entry[0], entry[1]) for item, entry in ranked[:k]]
+
+
+_SKETCH_ITEMS = st.sampled_from(["a", "a", "a", "b", "b", "c", "d", "e",
+                                 "f", "g", "h", "i", "j"])
+_SKETCH_WEIGHTS = st.sampled_from([1, 1, 1, 1, 2, 3, 0, -1, -2, 0.5])
+
+
+class TestSpaceSavingOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(min_value=1, max_value=8),
+           st.lists(st.tuples(_SKETCH_ITEMS, _SKETCH_WEIGHTS), max_size=120),
+           st.booleans())
+    def test_matches_the_lazy_heap_after_every_add(self, capacity, adds,
+                                                  unit):
+        sketch = SpaceSaving(capacity)
+        reference = _ReferenceSpaceSaving(capacity)
+        decreases = 0
+        for item, weight in adds:
+            if unit:
+                weight = 1
+            # a decrease of a tracked item is what pushes a second entry
+            decreases += weight < 0 and item in sketch
+            sketch.add(item, weight)
+            reference.add(item, weight)
+            assert len(sketch) == len(reference._counts)
+            for other in "abcdefghij":
+                assert (other in sketch) == (other in reference._counts)
+                assert sketch.count(other) == (
+                    reference._counts[other][0]
+                    if other in reference._counts else 0)
+            for k in range(capacity + 2):
+                assert sketch.top(k) == reference.top(k)
+            # one entry per tracked item, plus one per decrease
+            assert len(sketch._heap) <= 4 * capacity
+            assert len(sketch._heap) <= len(sketch) + decreases
+            if not decreases:
+                assert len(sketch._heap) == len(sketch)
+
+    def test_decreases_keep_the_heap_compact(self):
+        sketch, reference = SpaceSaving(2), _ReferenceSpaceSaving(2)
+        for i in range(40):
+            sketch.add("ab"[i % 2], -1)
+            reference.add("ab"[i % 2], -1)
+            assert len(sketch._heap) <= 8
+        sketch.add("c")
+        reference.add("c")
+        assert sketch.top(2) == reference.top(2)
+
+    def test_an_eviction_refreshes_a_stale_top(self):
+        sketch = SpaceSaving(2)
+        for item in ("a", "b", "a", "a"):  # the heap still says (1, "a")
+            sketch.add(item)
+        sketch.add("c")  # evicts b (1), not a (3)
+        assert sketch.top(2) == [("a", 3, 0), ("c", 2, 1)]
+        assert len(sketch._heap) == 2
+
+
+class _ReferenceStreamSummary(StreamAnalysis):
+    """``StreamSummary`` folding every op twice: into the running
+    totals and into its day's row."""
+
+    def __init__(self, *, start=None, end=None, day_width=SECONDS_PER_DAY,
+                 lateness=60.0) -> None:
+        self.start = start
+        self.end = end
+        self.totals = TraceSummary(start=start or 0.0, end=end or 0.0)
+        self.daily = []
+        self._min = math.inf
+        self._max = -math.inf
+        self._days = TumblingWindow(
+            day_width, lambda s, e: TraceSummary(start=s, end=e),
+            sink=lambda s, e, acc: self.daily.append((s, e, acc)),
+            lateness=lateness,
+        )
+
+    def process_op(self, o) -> None:
+        time = o.time
+        if self.start is not None and time < self.start:
+            return
+        if self.end is not None and time >= self.end:
+            return
+        self._min = min(self._min, time)
+        self._max = max(self._max, time)
+        self.totals.add(o)
+        self._days.add(time, o)
+
+    def advance(self, watermark: float) -> None:
+        self._days.advance(watermark)
+
+    def finish(self) -> None:
+        self._days.finish()
+        if self.totals.total_ops:
+            self.totals.start = self.start if self.start is not None else self._min
+            self.totals.end = self.end if self.end is not None else self._max + 1e-6
+        elif self.start is not None and self.end is not None:
+            self.totals.start, self.totals.end = self.start, self.end
+
+
+_SUMMARY_PROCS = st.sampled_from([
+    NfsProc.READ, NfsProc.READ, NfsProc.WRITE, NfsProc.WRITE,
+    NfsProc.LOOKUP, NfsProc.GETATTR, NfsProc.ACCESS, NfsProc.CREATE,
+    NfsProc.COMMIT, NfsProc.REMOVE,
+])
+
+
+@st.composite
+def summary_streams(draw):
+    """Ops whose times wander backwards past flushed days, with a
+    watermark advance drawn after each."""
+    rows = draw(st.lists(st.tuples(
+        st.floats(min_value=-3.0, max_value=4.0), _SUMMARY_PROCS,
+        st.sampled_from([NfsStatus.OK] * 4 + [NfsStatus.NOENT]),
+        st.sampled_from([None, 0, 100, 8192]), st.booleans(),
+    ), max_size=60))
+    ops, advances, t = [], [], 10.0
+    for gap, proc, status, count, advance in rows:
+        t = max(0.0, t + gap)
+        ops.append(op(proc, t, "f1", 0, count, status=status))
+        advances.append(advance)
+    return ops, advances
+
+
+def _summary_window(ops, start, end):
+    """The window ``StreamSummary`` learns: the bounds given, else the
+    kept ops' first time and just past their last."""
+    kept = [o.time for o in ops if (start is None or o.time >= start)
+            and (end is None or o.time < end)]
+    if not kept:
+        return None
+    return (start if start is not None else min(kept),
+            end if end is not None else max(kept) + 1e-6)
+
+
+class TestStreamSummaryOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(summary_streams(), st.sampled_from([1.0, 2.5, SECONDS_PER_DAY]),
+           st.sampled_from([0.0, 0.5, 60.0]),
+           st.sampled_from([(None, None), (None, None), (12.0, None),
+                            (None, 20.0), (11.0, 19.0)]))
+    def test_totals_equal_the_twice_folded_reference(self, stream, width,
+                                                     lateness, window):
+        ops, advances = stream
+        start, end = window
+        summary = StreamSummary(start=start, end=end, day_width=width,
+                                lateness=lateness)
+        reference = _ReferenceStreamSummary(start=start, end=end,
+                                            day_width=width, lateness=lateness)
+        watermark = 0.0
+        for o, advance in zip(ops, advances):
+            summary.process_op(o)
+            reference.process_op(o)
+            watermark = max(watermark, o.time)
+            if advance:
+                summary.advance(watermark)
+                reference.advance(watermark)
+            # read mid-stream, as the live snapshots do
+            assert summary.totals == reference.totals
+            assert summary.daily == reference.daily
+        summary.finish()
+        reference.finish()
+        assert summary.result() == reference.totals
+        assert summary.daily == reference.daily
+        bounds = _summary_window(ops, start, end)
+        if bounds is not None:
+            assert summary.result() == summarize_trace(ops, *bounds)
+
+    def test_an_op_behind_a_flushed_day_counts_in_the_totals(self):
+        summary = StreamSummary(day_width=1.0, lateness=0.0)
+        for t, proc in ((0.5, NfsProc.READ), (1.5, NfsProc.WRITE),
+                        (2.5, NfsProc.READ)):
+            summary.process_op(op(proc, t, "f1", 0, 100))
+        summary.advance(2.5)  # days 0 and 1 flush
+        late = op(NfsProc.WRITE, 0.7, "f1", 0, 8192)
+        summary.process_op(late)  # behind day 0: no row takes it
+        assert summary._days.late_drops == 1
+        assert sum(row.total_ops for _, _, row in summary.daily) == 2
+        totals = summary.totals
+        assert (totals.total_ops, totals.read_ops, totals.write_ops,
+                totals.bytes_written) == (4, 2, 2, 8292)
+        summary.finish()
+        ops = [op(NfsProc.READ, 0.5, "f1", 0, 100),
+               op(NfsProc.WRITE, 1.5, "f1", 0, 100),
+               op(NfsProc.READ, 2.5, "f1", 0, 100), late]
+        assert summary.result() == summarize_trace(ops, 0.5, 2.5 + 1e-6)
+
+    def test_every_summary_field_is_a_count(self):
+        # the totals are a field-wise sum of the day rows: exact only
+        # while every field but the window is an integer count
+        o = op(NfsProc.READ, 1.0, "f1", 0, 100)
+        summary = summarize_trace([o], 0.0, 2.0)
+        for f in dataclass_fields(summary):
+            value = getattr(summary, f.name)
+            assert f.name in ("start", "end") or isinstance(
+                value, (int, Counter)), f.name
+
+
+class _Probe(StreamAnalysis):
+    """Logs every advance with the retained-state figure it reports."""
+
+    name = "probe"
+
+    def __init__(self, grow_every: int) -> None:
+        self.grow_every = grow_every
+        self.seen = 0
+        self.advances: list[float] = []
+
+    def process_record(self, record) -> None:
+        self.seen += 1
+
+    def advance(self, watermark: float) -> None:
+        self.advances.append(watermark)
+
+    def memory_items(self) -> int:
+        return self.seen // self.grow_every
+
+    def result(self):
+        return (self.seen, self.advances)
+
+
+def _engine_outcome(records, drive, advance_every, max_items, grow_every):
+    """What an engine driven by ``drive`` ends with: its results (or
+    the budget error), counters and per-analysis state."""
+    engine = StreamEngine(advance_every=advance_every, max_items=max_items)
+    engine.register(StreamSummary(day_width=1.0, lateness=0.0))
+    engine.register(StreamStats())
+    engine.register(StreamTopFiles(capacity=2))
+    engine.register(_Probe(grow_every))
+    try:
+        results = drive(engine, records)
+    except StreamMemoryError as exc:
+        results = ("StreamMemoryError", str(exc))
+    else:
+        stats = results.pop("stats")
+        results["stats"] = (stats.records, stats.first, stats.last,
+                            stats.calls, stats.replies, stats.paired,
+                            stats.errors, stats.clients)
+    return (repr(results), engine.records, engine.ops, engine.watermark,
+            engine.peak_items, len(engine.pairer))
+
+
+def _run(engine, records):
+    return engine.run(iter(records))
+
+
+def _feed(engine, records):
+    for record in records:
+        engine.feed(record)
+    return engine.finish()
+
+
+def _reference_feed(engine, records):
+    """The per-record ``feed`` body that ``run`` used to call, on the
+    engine's attributes."""
+    for record in records:
+        engine.records += 1
+        if record.time > engine.watermark:
+            engine.watermark = record.time
+        for handler in engine._record_handlers:
+            handler(record)
+        paired = engine.pairer.push(record)
+        if paired is not None:
+            engine.ops += 1
+            for handler in engine._op_handlers:
+                handler(paired)
+        if engine.records % engine.advance_every == 0:
+            engine._advance()
+    return engine.finish()
+
+
+class TestStreamEngineOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(record_streams(ordered=False), st.integers(1, 5),
+           st.sampled_from([None, None, 0, 1, 2, 4]), st.integers(1, 6))
+    def test_run_equals_feeding_each_record(self, records, advance_every,
+                                            max_items, grow_every):
+        knobs = (advance_every, max_items, grow_every)
+        expected = _engine_outcome(records, _reference_feed, *knobs)
+        assert _engine_outcome(records, _run, *knobs) == expected
+        assert _engine_outcome(records, _feed, *knobs) == expected
+
+    def test_the_budget_stops_both_at_the_same_record(self):
+        records = make_stream(40, orphan_replies=0, unanswered_calls=0)
+        outcomes = [_engine_outcome(records, drive, 3, 5, 2)
+                    for drive in (_run, _feed, _reference_feed)]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        error, consumed = outcomes[0][0], outcomes[0][1]
+        assert "StreamMemoryError" in error
+        # mid-stream, at the advance that first saw the budget exceeded
+        assert 0 < consumed < len(records)
+        assert consumed % 3 == 0
+
+
+class _ReferenceRuns(StreamRuns):
+    def process_op(self, o) -> None:
+        if not (o.is_read() or o.is_write()):
+            return
+        if self.start is not None and o.time < self.start:
+            return
+        if self.end is not None and o.time >= self.end:
+            return
+        self._reorderer.push(o)
+
+
+class _ReferenceTopFiles(StreamTopFiles):
+    def process_op(self, o) -> None:
+        fh = o.reply_fh or o.fh
+        if fh is None:
+            return
+        self.by_ops.add(fh)
+        if (o.is_read() or o.is_write()) and o.ok() and o.count:
+            self.by_bytes.add(fh, o.count)
+
+
+class _ReferenceLatency(StreamLatency):
+    def process_op(self, o) -> None:
+        latency = o.reply_time - o.time
+        if latency < 0:
+            return
+        self.stats.add(latency)
+        self._median.add(latency)
+        self._tail.add(latency)
+
+
+def _latency_state(a):
+    s = a.stats
+    return repr((s.count, s.total, s.minimum, s.maximum, s._mean, s._m2,
+                 a._median._q, a._tail._q))
+
+
+class TestStreamFoldsOracle:
+    """The folds that classify by ``proc``/``status`` identity and the
+    inline Welford update, against ``is_read``/``is_write``/``ok`` and
+    ``RunningStats.add``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(namespace_ops(), st.lists(st.sampled_from(
+        [0.0, 0.0005, 0.001, 0.3, 2.0, -0.001]), min_size=40, max_size=40),
+        st.sampled_from([(None, None), (86000.5, None), (None, 86001.0)]))
+    def test_folds_match_their_method_calls(self, ops, latencies, window):
+        ops = [replace(o, reply_time=o.time + latency)
+               for o, latency in zip(ops, latencies)]
+        pairs = [
+            (StreamRuns(start=window[0], end=window[1]),
+             _ReferenceRuns(start=window[0], end=window[1])),
+            (StreamTopFiles(capacity=2, k=4), _ReferenceTopFiles(capacity=2, k=4)),
+            (StreamLatency(), _ReferenceLatency()),
+        ]
+        for o in ops:
+            for tuned, reference in pairs:
+                tuned.process_op(o)
+                reference.process_op(o)
+            assert _latency_state(pairs[2][0]) == _latency_state(pairs[2][1])
+        for tuned, reference in pairs:
+            tuned.finish()
+            reference.finish()
+            assert repr(tuned.result()) == repr(reference.result())

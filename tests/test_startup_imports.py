@@ -93,6 +93,25 @@ def test_analysis_commands_load_no_simulator(tmp_path, trace, argv):
     assert not loaded.intersection(SIMULATOR)
 
 
+#: the simulator's run-time stack, which the scenario commands only
+#: describe: the workload modules name ``TracedSystem`` in annotations
+SIMULATOR_RUNTIME = (
+    "repro.workloads.harness", "repro.client", "repro.server",
+    "repro.netsim", "repro.fs.filesystem",
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenarios", "list"],
+    ["scenarios", "show", "campus"],
+    ["scenarios", "validate", "campus"],
+], ids=["list", "show", "validate"])
+def test_scenario_commands_load_no_simulator_runtime(tmp_path, argv):
+    loaded = _loaded(tmp_path, _run_cli(argv))
+    assert "repro.scenarios.spec" in loaded
+    assert not loaded.intersection(SIMULATOR_RUNTIME)
+
+
 @pytest.mark.parametrize("extra", [[], ["--shards", "2"]],
                          ids=["inline", "shards-2"])
 def test_simulate_loads_no_ingest_or_http(tmp_path, extra):

@@ -1,5 +1,8 @@
 """Tests for the streaming CLI surface: analyze --stream and watch."""
 
+import hashlib
+import re
+
 import pytest
 
 from repro.cli import main
@@ -96,6 +99,30 @@ class TestAnalyzeStream:
 
 
 class TestWatch:
+    #: sha256 of the snapshot block (stderr) of ``WATCH``: its totals,
+    #: latency and hot-file lines read the engine's analyses mid-run.
+    #: 3.11 and 3.12 print the same snapshots.
+    WATCH = ["watch", "--system", "campus", "--users", "2", "--days", "0.3",
+             "--seed", "21", "--interval", "3600"]
+    SNAPSHOTS = (
+        "776084bd7f487e8b54d9ccb97c8d1dbae218075c4904d0367dac54a27882aa62"
+    )
+
+    def test_snapshot_lines_match_pinned_digest(self, capsys):
+        assert main(self.WATCH) == 0
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        # in this run every snapshot past the first op has read data,
+        # so totals summed only at the end would show here as zeros
+        busy = 0
+        for head, totals in zip(lines, lines[1:]):
+            ops = re.match(r"\[watch\] .* ops +([\d,]+) ", head)
+            if ops and ops.group(1) != "0":
+                busy += 1
+                assert re.match(r"  totals: [1-9][\d,]* reads", totals)
+        assert busy >= 3
+        assert hashlib.sha256(err.encode()).hexdigest() == self.SNAPSHOTS
+
     def test_renders_live_snapshots(self, capsys):
         code = main([
             "watch", "--system", "campus", "--users", "2",
