@@ -544,12 +544,16 @@ def gate_shard(shared: Shared):
     days = 0.6
     users = 8
 
+    opened = []
+
     def simulate(shards):
-        return timed(
+        wall, run = timed(
             run_sharded, "campus", users=users, days=days, seed=1001,
             shards=shards, mirror_bandwidth=2e6, faults="drop(p=0.01)",
             trace_sample=0.25,
         )
+        opened.append(run)
+        return wall, run
 
     walls, runs = {}, {}
     for shards in (1, 2, 4):
@@ -574,6 +578,8 @@ def gate_shard(shared: Shared):
         if path.read_bytes() != files[1]:
             failures.append("TraceWriter over merged() diverged from the "
                             "written trace")
+    for run in opened:  # each holds its group streams as open files
+        run.close()
     for shards in (2, 4):
         if files[shards] != files[1]:
             failures.append(f"trace bytes diverged at shards={shards}")

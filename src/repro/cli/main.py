@@ -38,7 +38,7 @@ from repro.analysis.runs import RunBuilder, classify_runs
 from repro.analysis.summary import summarize_trace
 from repro.cli.common import require_ops, summary_text, write_metrics
 from repro.errors import ReproError
-from repro.obs import EventLog, MetricsRegistry, SpanRecorder
+from repro.obs import EventLog, MetricsRegistry, SpanRecorder, paused_gc
 from repro.report import format_table
 from repro.simcore.clock import SECONDS_PER_HOUR
 from repro.stream import (
@@ -585,13 +585,17 @@ def cmd_analyze(args) -> int:
         )
         require_ops(ops, args.input)
         start, end = _window(args, ops)
-        summary = summarize_trace(ops, start, end)
-        print(summary_text(args.input, summary, stats))
-        print()
-        table = _batch_runs_table(ops, start, end, args.window_ms, args.jumps)
-        print(_runs_text(args.input, table, args.window_ms, args.jumps))
-        print()
-        print(_report_text(args.input, ops, start, end, summary))
+        # like pairing, the analyses allocate many objects and leave no
+        # reference cycles, so collections would only rescan the ops
+        with paused_gc():
+            summary = summarize_trace(ops, start, end)
+            print(summary_text(args.input, summary, stats))
+            print()
+            table = _batch_runs_table(ops, start, end, args.window_ms,
+                                      args.jumps)
+            print(_runs_text(args.input, table, args.window_ms, args.jumps))
+            print()
+            print(_report_text(args.input, ops, start, end, summary))
     finally:
         spans_emitted = _finish_analysis_spans(spans, span_sink)
     if spans_emitted is not None:

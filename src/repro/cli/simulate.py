@@ -178,7 +178,7 @@ def _simulate_sharded(args) -> int:
                 faults=args.faults,
                 trace_sample=args.trace_sample,
             )
-        with timer.phase("merge_write"):
+        with run, timer.phase("merge_write"):
             count = run.write(args.out)
         spans_emitted = None
         if args.spans_out:
@@ -419,9 +419,10 @@ def _monitor_sharded(args) -> int:
     writer = RotatingTraceWriter(args.dir, policy=policy, metrics=metrics)
     engine = _live_engine(metrics, args, max_items=args.max_items)
     try:
-        for record in run.merged():
-            writer.write(record)
-            engine.feed(record)
+        with run:
+            for record in run.merged():
+                writer.write(record)
+                engine.feed(record)
         results = engine.finish()
         if args.trace_sample > 0:
             span_sink = RotatingEventLog(args.dir, policy=policy)

@@ -27,11 +27,11 @@ which the conformance harness asserts.
 
 from __future__ import annotations
 
-import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Iterable, Iterator, Sequence, Union
 
+from repro._hashing import blake2b
 from repro.trace.record import TraceRecord
 
 #: Valid manifest entries: the record's own field names.
@@ -145,4 +145,4 @@ def synth_handle(*parts: object) -> str:
     tokens every analysis already treats handles as.
     """
     joined = "\x1f".join(str(part) for part in parts)
-    return hashlib.blake2b(joined.encode("utf-8"), digest_size=8).hexdigest()
+    return blake2b(joined.encode("utf-8"), digest_size=8).hexdigest()

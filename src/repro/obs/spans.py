@@ -35,8 +35,9 @@ from __future__ import annotations
 import json
 from collections import deque
 from functools import lru_cache
-from hashlib import blake2b
 from typing import Any
+
+from repro._hashing import blake2b
 
 __all__ = [
     "HOPS",

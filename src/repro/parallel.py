@@ -24,8 +24,10 @@ of machinery, which live here exactly once:
   through the pool's result pipe.  The task writes it to a file named
   by its task index inside the run's private ``mkdtemp`` directory
   (:func:`publish_segment`), and the parent reads the file back
-  (:func:`claim_segment`).  The caller owns the directory and removes
-  it when the run ends, failed or not.
+  (:func:`claim_segment`); a sharded run's parent instead opens and
+  unlinks each group's ``.rtb`` stream and merges it from disk.  The
+  caller owns the directory and removes it when the run ends, failed
+  or not.
 """
 
 from __future__ import annotations

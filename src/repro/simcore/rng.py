@@ -11,8 +11,9 @@ seed with the stream name, so:
 
 from __future__ import annotations
 
-import hashlib
 import random
+
+from repro._hashing import blake2b
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -21,7 +22,7 @@ def derive_seed(root_seed: int, name: str) -> int:
     Uses BLAKE2b rather than ``hash()`` so the derivation is stable across
     interpreter runs and PYTHONHASHSEED settings.
     """
-    digest = hashlib.blake2b(
+    digest = blake2b(
         name.encode("utf-8"),
         digest_size=8,
         key=root_seed.to_bytes(8, "little", signed=False),

@@ -118,7 +118,7 @@ class LiveWatch:
         """The current snapshot as a small block of text."""
         engine = self.engine
         lines = [
-            f"[watch] sim {engine.watermark / SECONDS_PER_DAY:6.3f}d  "
+            f"[watch] sim {self.system.clock.now / SECONDS_PER_DAY:6.3f}d  "
             f"records {engine.records:>9,}  ops {engine.ops:>9,}  "
             f"outstanding {len(engine.pairer)}  "
             f"state {engine.state_items():,} items"

@@ -51,13 +51,16 @@ process, and decodes any further bitmap through the per-field
 ``simulate --shards``) into one without building a record: it orders
 record frames by the key in their heads and re-packs each through a
 transcoder generated per bitmap (:func:`_compile_transcoder`) that
-rewrites only its string ids into the output's one table.
+rewrites only its string ids into the output's one table.  It reads a
+stream held in a file through one small window, so a merge holds a
+few hundred KB whatever the streams' length.
 """
 
 from __future__ import annotations
 
 import gzip
 import io
+import os
 import zlib
 from dataclasses import fields as dataclass_fields
 from functools import cache
@@ -772,16 +775,31 @@ def _transcoder_for(bitmap: int) -> _Transcoder:
     return transcode
 
 
-def _merge_entries(payload, index: int, strings: list[str], ids: list):
-    """Yield one merge-heap entry per record frame of ``payload``.
+#: Bytes of the window through which :func:`merge_frames` reads each
+#: file-backed stream: eight group streams hold 256 KiB between them,
+#: however long the run.
+_WINDOW_BYTES = 1 << 15
+
+
+def _merge_entries(source, window, index: int, strings: list[str], ids: list):
+    """Yield one merge-heap entry per record frame of one stream.
+
+    ``source`` is a complete ``.rtb`` stream: a ``bytes`` payload, read
+    in place (``window`` is ``source``), or an open file, read through
+    ``window``, a ``bytearray`` refilled in place by ``os.preadv`` at
+    an offset this generator keeps, so two merges of one file never
+    disturb each other.  A frame that straddles the window's end moves
+    to its front before the refill; one longer than the window grows
+    it.
 
     An entry is ``(time, client, xid, index, body, length, bitmap)``,
-    so the heap orders frames by ``record_key`` and then by stream
-    index, which is the tie order of ``heapq.merge(*streams,
-    key=record_key)``; two entries of one stream are never on the heap
-    together, so a comparison never gets past ``index``.  String
-    frames append to ``strings`` (the stream's own table) and an
-    unmapped slot to ``ids``.
+    ``body`` an offset into ``window``, which holds the frame until the
+    stream's next entry is drawn.  The heap orders frames by
+    ``record_key`` and then by stream index, which is the tie order of
+    ``heapq.merge(*streams, key=record_key)``; two entries of one
+    stream are never on the heap together, so a comparison never gets
+    past ``index``.  String frames append to ``strings`` (the stream's
+    own table) and an unmapped slot to ``ids``.
     """
     unpack_frame = _FRAME_HEAD.unpack_from
     frame_head_size = _FRAME_HEAD.size
@@ -790,26 +808,67 @@ def _merge_entries(payload, index: int, strings: list[str], ids: list):
     bitmap_at = head_size - 2
     add_string = strings.append
     add_id = ids.append
-    pos = read_trace_header(io.BytesIO(payload))
-    total = len(payload)
+    base = 0  # the stream offset of window[0]
+
+    def refill(pos: int, end: int, need: int) -> int:
+        """Move ``window[pos:end]`` to the front and read on until the
+        window holds ``need`` bytes or the file ends; returns the new
+        end (the kept bytes now start at 0)."""
+        nonlocal base
+        kept = end - pos
+        if kept:
+            window[:kept] = window[pos:end]
+        base += pos
+        if need > len(window):
+            window.extend(bytes(need - len(window)))
+        with memoryview(window) as view:
+            while kept < need:
+                got = os.preadv(fd, [view[kept:]], base + kept)
+                if not got:
+                    break
+                kept += got
+        return kept
+
+    if window is source:
+        size = end = len(source)
+    else:
+        fd = source.fileno()
+        size = os.fstat(fd).st_size
+        end = refill(0, 0, _HEADER_SIZE)
+    pos = read_trace_header(io.BytesIO(window[:min(end, _HEADER_SIZE)]))
     try:
-        while pos < total:
-            if total - pos < frame_head_size:
-                raise TraceFormatError("truncated frame header")
-            tag, length = unpack_frame(payload, pos)
+        while True:
+            if end - pos < frame_head_size:
+                left = size - base - pos
+                if not left:
+                    return
+                if left < frame_head_size:
+                    raise TraceFormatError("truncated frame header")
+                end = refill(pos, end, frame_head_size)
+                pos = 0
+                if end < frame_head_size:
+                    raise TraceFormatError("truncated frame header")
+            tag, length = unpack_frame(window, pos)
             body = pos + frame_head_size
-            pos = body + length
-            if pos > total:
-                raise TraceFormatError("truncated frame payload")
+            stop = body + length
+            if stop > end:
+                if base + stop > size:
+                    raise TraceFormatError("truncated frame payload")
+                end = refill(pos, end, stop - pos)
+                body -= pos
+                stop -= pos
+                if stop > end:
+                    raise TraceFormatError("truncated frame payload")
+            pos = stop
             if tag == _RECORD_TAG:
                 if length < head_size:
                     raise TraceFormatError("short record frame")
-                time, _direction, xid, client_id = unpack_key(payload, body)
+                time, _direction, xid, client_id = unpack_key(window, body)
                 at = body + bitmap_at
                 yield (time, strings[client_id], xid, index, body, length,
-                       payload[at] | (payload[at + 1] << 8))
+                       window[at] | (window[at + 1] << 8))
             elif tag == _STRING_TAG:
-                add_string(payload[body:pos].decode("utf-8"))
+                add_string(str(window[body:stop], "utf-8"))
                 add_id(None)
             else:
                 raise TraceFormatError(f"unknown frame tag 0x{tag:02x}")
@@ -824,17 +883,19 @@ def merge_frames(payloads) -> Iterator[bytes]:
 
     ``payloads`` are complete ``.rtb`` streams (header included), each
     in :data:`~repro.trace.collector.record_key` order, such as the
-    group worlds of a sharded run hand back.  The merged stream comes
-    out in blocks of about :data:`_FLUSH_BYTES`, the first opening with
-    the header, and their concatenation is byte for byte what a
-    :class:`BinaryTraceEncoder` writes for ``heapq.merge(*decoders,
-    key=record_key)`` over the same streams: frames leave in key order,
-    exact-key ties in stream order within a stream and in ``payloads``
-    order across streams, and each record frame is re-packed by its
-    bitmap's transcoder (:func:`_compile_transcoder`) with its string
-    ids rewritten into one output table, so a string two streams share
-    is defined once, before its first use.  No :class:`TraceRecord` is
-    built.
+    group worlds of a sharded run hand back: ``bytes``, or open files,
+    which are read through one reused window of :data:`_WINDOW_BYTES`
+    each (see :func:`_merge_entries`) and never held whole.  The merged
+    stream comes out in blocks of about :data:`_FLUSH_BYTES`, the first
+    opening with the header, and their concatenation is byte for byte
+    what a :class:`BinaryTraceEncoder` writes for ``heapq.merge(
+    *decoders, key=record_key)`` over the same streams: frames leave in
+    key order, exact-key ties in stream order within a stream and in
+    ``payloads`` order across streams, and each record frame is
+    re-packed by its bitmap's transcoder (:func:`_compile_transcoder`)
+    with its string ids rewritten into one output table, so a string
+    two streams share is defined once, before its first use.  No
+    :class:`TraceRecord` is built.
 
     A corrupt payload raises :class:`~repro.errors.TraceFormatError`
     after the blocks merged before it.
@@ -844,7 +905,7 @@ def merge_frames(payloads) -> Iterator[bytes]:
     flush_bytes = _FLUSH_BYTES
     streams = []
     heap = []
-    for index, payload in enumerate(payloads):
+    for index, source in enumerate(payloads):
         strings: list[str] = []
         ids: list[int | None] = []
 
@@ -857,8 +918,10 @@ def merge_frames(payloads) -> Iterator[bytes]:
             ids[local] = sid
             return sid
 
-        entries = _merge_entries(payload, index, strings, ids)
-        streams.append((payload, strings, ids, define, entries.__next__))
+        window = source if isinstance(source, (bytes, bytearray)) \
+            else bytearray(_WINDOW_BYTES)
+        entries = _merge_entries(source, window, index, strings, ids)
+        streams.append((window, strings, ids, define, entries.__next__))
         first = next(entries, None)
         if first is not None:
             heap.append(first)
@@ -867,12 +930,12 @@ def merge_frames(payloads) -> Iterator[bytes]:
     try:
         while heap:
             _time, _client, _xid, index, body, length, bitmap = heap[0]
-            payload, strings, ids, define, advance = streams[index]
+            window, strings, ids, define, advance = streams[index]
             try:
                 transcode = transcoders[bitmap]
             except KeyError:
                 transcode = transcoders[bitmap] = _transcoder_for(bitmap)
-            transcode(payload, body, length, strings, ids, define, pend)
+            transcode(window, body, length, strings, ids, define, pend)
             if len(pend) >= flush_bytes:
                 yield bytes(pend)
                 pend.clear()

@@ -25,14 +25,15 @@ every** ``--shards N``:
 * Each group world's collector releases its records in
   :data:`~repro.trace.collector.record_key` order while the world
   runs, and the worker binary-encodes them as they come (the ``.rtb``
-  codec), so no world keeps or sorts its capture.  A pool task writes
-  each group's encoded stream (and its span lines) to files named by
-  the gid in the run's temp directory, the ``repro.parallel``
-  transport, and the parent always merges them by the same key, in
-  gid order — ties resolve identically no matter how groups were
-  bucketed.  The merge works on the encoded frames
-  (:func:`repro.trace.binfmt.merge_frames`): no record is decoded or
-  re-encoded on the way to a binary trace file.
+  codec) straight into a file named by the gid in the run's temp
+  directory, the ``repro.parallel`` transport, so no world keeps or
+  sorts its capture.  The parent opens and unlinks each group's file
+  before :func:`run_sharded` returns and always merges the streams by
+  the same key, in gid order — ties resolve identically no matter how
+  groups were bucketed.  The merge works on the encoded frames
+  (:func:`repro.trace.binfmt.merge_frames`), read through small
+  windows: no record is decoded or re-encoded on the way to a binary
+  trace file, and the parent never holds a group's stream whole.
 
 The FaultLedger exactness argument survives sharding because group
 worlds are shared-nothing: each group's ledger predicts its own
@@ -42,15 +43,17 @@ so the per-group stats *sum* to the merged trace's stats exactly.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import shutil
 import tempfile
+import threading
 import time as _time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from queue import Queue
+from typing import IO, Iterator
 
 from repro.faults import FaultSchedule
 from repro.faults.ledger import aggregate_stats
@@ -81,6 +84,14 @@ DEFAULT_GROUPS = 8
 
 #: Pool purpose key in the shared ``repro.parallel`` registry.
 POOL_PURPOSE = "simulate"
+
+#: Records a group world hands its encoder per ``encode_block`` call.
+ENCODE_BLOCK = 256
+
+#: Merged blocks waiting for the writer thread.  Two keep it busy
+#: while the merge produces the next; a longer queue only holds more
+#: of the trace in memory.
+WRITE_QUEUE = 2
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +175,18 @@ class ShardTask:
     trace_sample: float
     gids: tuple[int, ...]
     groups: int
-    #: the run's temp dir, where a pool task writes its groups' payloads
+    #: the run's temp dir, where each group writes its payloads
     workdir: str
 
 
 @dataclass
 class GroupOutcome:
-    """One group's results: its encoded payloads plus small aggregates."""
+    """One group's results: small aggregates, and in the parent its
+    span lines (its record stream is a file of the run)."""
 
     gid: int
     records: int
     wall_seconds: float
-    payload: bytes | None = None
     span_payload: bytes | None = None
     spans_emitted: int = 0
     calls_seen: int = 0
@@ -226,7 +237,12 @@ def build_group_world(
 
 
 def _run_group(task: ShardTask, gid: int) -> GroupOutcome:
-    """Simulate one group end to end; returns its encoded payloads."""
+    """Simulate one group end to end.
+
+    The group's record stream goes to ``<gid>.rtb`` and its span lines
+    to ``<gid>.spans`` in the run's temp dir, where the parent claims
+    them; the outcome carries only small aggregates.
+    """
     started = _time.perf_counter()
     spec = partition_users(task.users, task.groups)[gid]
     system, workload = build_group_world(
@@ -235,18 +251,30 @@ def _run_group(task: ShardTask, gid: int) -> GroupOutcome:
         faults=task.faults,
         trace_sample=task.trace_sample,
     )
-    # The collector releases the measured window in record_key order
-    # (exact-key ties, a duplicate re-captured in the same instant, in
-    # capture order); encode it as it comes, so the parent k-way merges
-    # sorted group streams and no world holds its capture.
-    buffer = io.BytesIO()
-    encoder = BinaryTraceEncoder(buffer, buffered=True)
-    system.collector.sinks = [encoder.encode]
-    system.start_measurement(task.start_time)
-    workload.attach(system)
-    system.run(task.end_time)
-    system.collector.flush()
-    encoder.flush()
+    name = os.path.join(task.workdir, str(gid))
+    with open(f"{name}.rtb", "wb") as out:
+        # The collector releases the measured window in record_key
+        # order (exact-key ties, a duplicate re-captured in the same
+        # instant, in capture order); encode it as it comes, a block
+        # at a time, so the parent k-way merges sorted group streams
+        # and no world holds its capture.
+        encoder = BinaryTraceEncoder(out, buffered=True)
+        block: list[TraceRecord] = []
+        add = block.append
+
+        def capture(record: TraceRecord) -> None:
+            add(record)
+            if len(block) == ENCODE_BLOCK:
+                encoder.encode_block(block)
+                block.clear()
+
+        system.collector.sinks = [capture]
+        system.start_measurement(task.start_time)
+        workload.attach(system)
+        system.run(task.end_time)
+        system.collector.flush()
+        encoder.encode_block(block)
+        encoder.flush()
     outcome = GroupOutcome(
         gid=gid,
         records=encoder.records_written,
@@ -256,16 +284,16 @@ def _run_group(task: ShardTask, gid: int) -> GroupOutcome:
         retransmits=sum(c.retransmits for c in system.clients.values()),
         mirror_seen=system.mirror.packets_seen,
         mirror_dropped=system.mirror.packets_dropped,
-        payload=buffer.getvalue(),
     )
+    lines = []
     if system.spans is not None:
         outcome.spans_emitted = system.spans.close()
-        lines = []
         for event in system.spans.sink.events:
             payload = {k: v for k, v in event.items() if k != "seq"}
             lines.append(json.dumps(payload, separators=(",", ":"),
                                     sort_keys=True))
-        outcome.span_payload = "\n".join(lines).encode("utf-8")
+    publish_segment(task.workdir, f"{gid}.spans",
+                    "\n".join(lines).encode("utf-8"))
     if system.faults is not None:
         outcome.ledger = system.fault_ledger.expected_stats()
         outcome.injected = dict(system.faults.injected)
@@ -274,22 +302,9 @@ def _run_group(task: ShardTask, gid: int) -> GroupOutcome:
 
 
 def _run_shard_task(task: ShardTask) -> ShardOutcome:
-    """Pool entry point: simulate every group assigned to this shard.
-
-    Each group's payloads go to ``<gid>.rtb`` and ``<gid>.spans`` in
-    the run's temp dir, where the parent claims them; the outcomes
-    travel back without them.
-    """
+    """Pool entry point: simulate every group assigned to this shard."""
     started = _time.perf_counter()
-    groups = []
-    for gid in task.gids:
-        outcome = _run_group(task, gid)
-        publish_segment(task.workdir, f"{gid}.rtb", outcome.payload)
-        publish_segment(
-            task.workdir, f"{gid}.spans", outcome.span_payload or b""
-        )
-        outcome.payload = outcome.span_payload = None
-        groups.append(outcome)
+    groups = [_run_group(task, gid) for gid in task.gids]
     return ShardOutcome(
         wall_seconds=_time.perf_counter() - started, groups=groups
     )
@@ -319,9 +334,64 @@ class _BlockReader:
         return pending[:size]
 
 
+def _write_beside(blocks: Iterator[bytes], out: IO[bytes]) -> None:
+    """Write ``blocks`` into ``out`` on a writer thread, then close it.
+
+    zlib deflates with the interpreter lock released, so for a
+    ``.rtb.gz`` the thread compresses one block while this thread
+    produces the next (the frame merge, in :meth:`ShardRun.write`).  At
+    most :data:`WRITE_QUEUE` blocks wait between them.  A failure on
+    either side ends the write: a failed producer stops the thread
+    after the blocks already queued, and a failed write makes the
+    producer stop at its next block.  The thread is joined before
+    ``out`` is closed here, so an error in the close (the gzip trailer,
+    the last flush) is raised like any other, and ``out`` is closed
+    however the write ends.
+    """
+    queue: Queue = Queue(WRITE_QUEUE)
+    failed: list[BaseException] = []
+
+    def drain() -> None:
+        try:
+            while (block := queue.get()) is not None:
+                out.write(block)
+        except BaseException as exc:
+            failed.append(exc)
+            while queue.get() is not None:  # unblock the producer
+                pass
+
+    thread = threading.Thread(target=drain, name="repro-writer")
+    thread.start()
+    try:
+        try:
+            for block in blocks:
+                if failed:
+                    break
+                queue.put(block)
+        finally:
+            queue.put(None)
+            thread.join()
+        if failed:
+            raise failed[0]
+        out.close()
+    except BaseException:
+        with suppress(Exception):  # the first error is the one raised
+            out.close()
+        raise
+
+
 @dataclass
 class ShardRun:
-    """A completed sharded simulation, ready to merge and report."""
+    """A completed sharded simulation, ready to merge and report.
+
+    The group worlds' record streams stay on disk until a merge reads
+    them: :attr:`payloads` holds one open file per group, in gid
+    order, already unlinked, so once :func:`run_sharded` has returned
+    nothing of the run outlives it, even if the process is killed.
+    (While the groups simulate, their streams are named files in the
+    run's temp dir, which a killed parent leaves behind.)  Use the run
+    as a context manager (or call :meth:`close`) to release them.
+    """
 
     system: str
     users: int
@@ -334,6 +404,19 @@ class ShardRun:
     outcomes: list[GroupOutcome]
     shard_walls: list[float]
     fanout_seconds: float
+    #: each group's encoded record stream, an open unlinked file
+    payloads: list[IO[bytes]]
+
+    def __enter__(self) -> "ShardRun":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close the group payload files (safe to call twice)."""
+        for payload in self.payloads:
+            payload.close()
 
     @property
     def record_count(self) -> int:
@@ -346,32 +429,31 @@ class ShardRun:
 
         Payloads go in gid order, so an exact-key tie breaks by gid — a
         pure function of the groups, not of the shard bucketing — and
-        the merged bytes are identical for every shard count.
+        the merged bytes are identical for every shard count.  Each
+        merge reads the files at offsets of its own, so merges of one
+        run may interleave.
         """
-        return merge_frames([o.payload for o in self.outcomes])
+        return merge_frames(self.payloads)
 
     def write(self, path: str | Path) -> int:
         """Write the merged trace to ``path``; returns the record count.
 
         A binary path (``.rtb``/``.rtb.gz``) gets the frame merge's
-        blocks as they come, with no record decoded; a text path gets
-        the decoded :meth:`merged` stream through :class:`TraceWriter`.
-        If the write fails, the partial file is removed.
+        blocks as they come, with no record decoded, written (and for a
+        ``.rtb.gz`` deflated) on a writer thread beside the merge; a
+        text path gets the decoded :meth:`merged` stream through
+        :class:`TraceWriter`.  If the write fails, the partial file is
+        removed.
         """
         path = Path(path)
         try:
-            if is_binary_trace_path(path):
-                fileobj = open_binary_for_write(path)
-                try:
-                    for block in self._merged_blocks():
-                        fileobj.write(block)
-                finally:
-                    fileobj.close()
-                return self.record_count
-            with TraceWriter(path) as writer:
-                for record in self.merged():
-                    writer.write(record)
-            return writer.records_written
+            if not is_binary_trace_path(path):
+                with TraceWriter(path) as writer:
+                    for record in self.merged():
+                        writer.write(record)
+                return writer.records_written
+            _write_beside(self._merged_blocks(), open_binary_for_write(path))
+            return self.record_count
         except BaseException:
             path.unlink(missing_ok=True)
             raise
@@ -518,6 +600,11 @@ def run_sharded(
     fixed by the population, not the worker count).  ``shards=1`` runs
     the same group worlds inline — same code path, no pool.  A pool
     worker that dies raises :class:`~repro.errors.WorkerDiedError`.
+    The group streams are written to the run's temp dir while the
+    groups simulate, so a run needs temp space about the size of its
+    encoded trace; the returned run holds them as open, unlinked files
+    and the temp dir is gone.  Close the run, or use it as a context
+    manager, once it has been merged.
 
     The first ``warmup_days`` are simulated but excluded from the
     merged stream and the tallies, mirroring ``repro simulate``'s
@@ -555,40 +642,33 @@ def run_sharded(
         groups=group_count,
     )
     started = _time.perf_counter()
-    if pool_size == 1:
-        task = ShardTask(
-            gids=tuple(spec.gid for spec in specs), workdir="", **base_task
-        )
-        inline_started = _time.perf_counter()
-        outcomes = [_run_group(task, gid) for gid in task.gids]
-        shard_walls = [_time.perf_counter() - inline_started]
-    else:
-        # the flowop interpreter, which compile_workload imports on
-        # demand, loaded before the pool forks: the workers inherit it
-        # instead of each importing (and, without a bytecode cache,
-        # compiling) its own copy
-        import repro.scenarios.generator  # noqa: F401
+    workdir = tempfile.mkdtemp(prefix="repro-shard-")
+    try:
+        if pool_size == 1:
+            task = ShardTask(gids=tuple(spec.gid for spec in specs),
+                             workdir=workdir, **base_task)
+            outcomes = [_run_group(task, gid) for gid in task.gids]
+            shard_walls = [_time.perf_counter() - started]
+        else:
+            # the flowop interpreter, which compile_workload imports on
+            # demand, loaded before the pool forks: the workers inherit
+            # it instead of each importing (and, without a bytecode
+            # cache, compiling) its own copy
+            import repro.scenarios.generator  # noqa: F401
 
-        workdir = tempfile.mkdtemp(prefix="repro-shard-")
-        tasks = [
-            ShardTask(gids=gids, workdir=workdir, **base_task)
-            for gids in plan_shards(specs, pool_size)
-        ]
-        try:
+            tasks = [
+                ShardTask(gids=gids, workdir=workdir, **base_task)
+                for gids in plan_shards(specs, pool_size)
+            ]
             shard_outcomes = run_tasks(
                 POOL_PURPOSE, pool_size, _run_shard_task, tasks
             )
-            outcomes = [g for s in shard_outcomes for g in s.groups]
-            # claim every segment up front: the merge needs all group
-            # streams at once anyway, and then the temp dir can go
-            for outcome in outcomes:
-                name = os.path.join(workdir, str(outcome.gid))
-                outcome.payload = claim_segment(f"{name}.rtb")
-                outcome.span_payload = claim_segment(f"{name}.spans")
+            outcomes = sorted((g for s in shard_outcomes for g in s.groups),
+                              key=lambda o: o.gid)
             shard_walls = [s.wall_seconds for s in shard_outcomes]
-        finally:
-            shutil.rmtree(workdir, ignore_errors=True)
-        outcomes.sort(key=lambda o: o.gid)
+        payloads = _claim_payloads(workdir, outcomes)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
     fanout_seconds = _time.perf_counter() - started
 
     return ShardRun(
@@ -603,4 +683,27 @@ def run_sharded(
         outcomes=outcomes,
         shard_walls=shard_walls,
         fanout_seconds=fanout_seconds,
+        payloads=payloads,
     )
+
+
+def _claim_payloads(workdir: str, outcomes: list[GroupOutcome]) -> list:
+    """Open and unlink each group's record stream, and read in its span
+    lines; returns the open files in ``outcomes`` order.
+
+    An unlinked file lives until it is closed, and the kernel closes it
+    if the process dies, so from here on no file of the run is left on
+    disk however the run ends.
+    """
+    payloads = []
+    try:
+        for outcome in outcomes:
+            name = os.path.join(workdir, str(outcome.gid))
+            payloads.append(open(f"{name}.rtb", "rb", buffering=0))
+            os.unlink(f"{name}.rtb")
+            outcome.span_payload = claim_segment(f"{name}.spans")
+    except BaseException:
+        for payload in payloads:
+            payload.close()
+        raise
+    return payloads

@@ -470,6 +470,34 @@ class TestAnalyze:
             == binary_out.replace(str(rtb), "X").replace("=", "")
         )
 
+    def test_batch_analyses_leave_no_cyclic_garbage(self, campus_trace,
+                                                     tmp_path):
+        """Batch ``analyze`` runs its analyses with cyclic GC paused,
+        which is safe only while they leave no reference cycles."""
+        import gc
+        import importlib
+
+        from repro.analysis.pairing import pair_trace
+        from repro.obs.gcpause import paused_gc
+
+        cli = importlib.import_module("repro.cli.main")
+        eecs = tmp_path / "eecs.rtb"
+        assert main(["simulate", "--system", "eecs", "--days", "0.6",
+                     "--users", "4", "--seed", "9", "--out", str(eecs)]) == 0
+        for trace in (campus_trace, eecs):
+            ops, _stats = pair_trace(trace)
+            assert len(ops) > 1000
+            start, end = ops[0].time, ops[-1].time + 1.0
+            gc.collect()
+            with paused_gc():
+                summary = cli.summarize_trace(ops, start, end)
+                table = cli._batch_runs_table(ops, start, end, 10.0, 4)
+                report = cli._report_text(trace, ops, start, end, summary)
+                # the results are still referenced: only what the
+                # analyses dropped can be found
+                assert gc.collect() == 0
+            assert table.total_runs and report
+
     def test_metrics_out(self, campus_trace, tmp_path):
         metrics_path = tmp_path / "pool.json"
         assert main(["analyze", "--in", str(campus_trace),

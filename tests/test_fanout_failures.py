@@ -3,10 +3,12 @@
 A pool worker that dies (here: one that SIGKILLs itself) must end a
 ``parallel_pair``/``run_sharded`` call, or the ``repro`` command, with
 one clean error instead of hanging it, and leave no output file, no
-live worker and nothing in the temp directory.  Each case runs in a
-fresh interpreter, so the pool is forked after the fault is planted,
-under a hard timeout that kills the child's whole process group.
-The pool machinery itself is loaded only when a fan-out starts.
+live worker and nothing in the temp directory.  A sharded run's merge
+and write fail the same way: no partial file, no payload file left
+open, no writer thread left running.  Each case runs in a fresh
+interpreter, so the pool is forked after the fault is planted, under a
+hard timeout that kills the child's whole process group.  The pool
+machinery itself is loaded only when a fan-out starts.
 """
 
 import os
@@ -30,13 +32,26 @@ TIMEOUT = 60
 #: chunk (``parallel_pair``) or group 1 (``run_sharded``), and only
 #: there.
 PRELUDE = """
-import multiprocessing, os, signal, sys, tempfile
+import multiprocessing, os, signal, sys, tempfile, threading
 import repro.analysis.parallel as par
 import repro.workloads.sharding as sharding
 from repro.errors import TraceFormatError
 
 def die():
     os.kill(os.getpid(), signal.SIGKILL)
+
+def open_run_files():
+    # descriptors on a file of the temp dir, or on an unlinked file
+    tmp = tempfile.gettempdir()
+    found = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue
+        if target.startswith(tmp) or target.endswith("(deleted)"):
+            found.append(target)
+    return len(found)
 
 def fault(action, trace=None, chunk_records=64):
     if trace is not None:
@@ -137,7 +152,8 @@ class TestWorkerKilled:
             except Exception as exc:
                 print(type(exc).__name__)
             print(len(multiprocessing.active_children()))
-        """) == ["WorkerDiedError", "0"]
+            print(open_run_files())
+        """) == ["WorkerDiedError", "0", "0"]
 
     @pytest.mark.parametrize("argv, out", [
         (["analyze", "--in", "TRACE", "--jobs", "2",
@@ -204,3 +220,106 @@ class TestWorkerRaises:
                 print(exc)
             print(len(multiprocessing.active_children()))
         """) == ["planted", "world", "failure", "0"]
+
+
+#: a sharded run over four client groups, its streams read through
+#: small windows and merged into small blocks, so a write is many
+#: blocks long
+SHARDED_RUN = """
+from repro.trace import binfmt
+binfmt._WINDOW_BYTES = 256
+binfmt._FLUSH_BYTES = 4096
+run = sharding.run_sharded("campus", users=4, days=0.05, seed=11,
+                           shards={shards}, warmup_days=1.4)
+# a pool keeps threads of its own; a write must add none that outlives it
+threads = threading.active_count()
+"""
+
+
+def _sharded(shards, body):
+    """``body`` run after :data:`SHARDED_RUN` made ``run``."""
+    return SHARDED_RUN.format(shards=shards) + textwrap.dedent(body)
+
+
+class TestShardedWrite:
+    """The group streams stay open, unlinked files until the run is
+    closed, and a failed merge or write leaves nothing behind."""
+
+    @pytest.mark.parametrize("shards, name", [
+        (1, "x.rtb.gz"), (2, "x.rtb.gz"), (2, "x.rtb"),
+    ])
+    def test_a_write_leaves_nothing(self, tmp_path, shards, name):
+        assert _report(tmp_path, _sharded(shards, f"""
+            with run:
+                print(open_run_files())
+                print(run.write("{name}") == run.record_count)
+            run.close()  # closing twice is harmless
+            print(open_run_files(), threading.active_count() - threads)
+            print(os.path.exists("{name}"))
+        """)) == ["4", "True", "0", "0", "True"]
+
+    def test_a_merge_error_leaves_nothing(self, tmp_path):
+        assert _report(tmp_path, _sharded(2, """
+            merge_frames = sharding.merge_frames
+            def fail_mid_merge(payloads):
+                for count, block in enumerate(merge_frames(payloads)):
+                    if count == 5:
+                        raise TraceFormatError("planted merge failure")
+                    yield block
+            sharding.merge_frames = fail_mid_merge
+            with run:
+                try:
+                    run.write("x.rtb.gz")
+                except TraceFormatError as exc:
+                    print(exc)
+            print(open_run_files(), threading.active_count() - threads)
+            print(os.path.exists("x.rtb.gz"))
+        """)) == ["planted", "merge", "failure", "0", "0", "False"]
+
+    def test_a_failed_writer_ends_the_write(self, tmp_path):
+        # the deflate thread's Nth write fails once the merge has filled
+        # the queue and waits on it: the merge must stop, the error
+        # reach the caller, and neither thread nor file remain
+        assert _report(tmp_path, _sharded(2, """
+            import time
+            from repro.trace.binfmt import DeterministicGzipWriter
+            write = DeterministicGzipWriter.write
+            blocks = []
+            def failing_write(self, data):
+                blocks.append(len(data))
+                if len(blocks) == 3:
+                    time.sleep(0.5)
+                    raise OSError(28, "planted: no space left")
+                return write(self, data)
+            DeterministicGzipWriter.write = failing_write
+            with run:
+                try:
+                    run.write("x.rtb.gz")
+                except OSError as exc:
+                    print(exc.strerror)
+                print(run.record_count > 500)
+            print(len(blocks), open_run_files(),
+                  threading.active_count() - threads)
+            print(os.path.exists("x.rtb.gz"))
+        """)) == ["planted:", "no", "space", "left", "True", "3", "0", "0",
+                  "False"]
+
+    def test_a_failed_close_ends_the_write(self, tmp_path):
+        # the gzip trailer is written when the file closes, after the
+        # writer thread has taken the end of the stream: a full disk
+        # there must still reach the caller, not leave a thread waiting
+        assert _report(tmp_path, _sharded(2, """
+            from repro.trace.binfmt import DeterministicGzipWriter
+            close = DeterministicGzipWriter.close
+            def failing_close(self):
+                close(self)
+                raise OSError(28, "planted: no space left")
+            DeterministicGzipWriter.close = failing_close
+            with run:
+                try:
+                    run.write("x.rtb.gz")
+                except OSError as exc:
+                    print(exc.strerror)
+            print(open_run_files(), threading.active_count() - threads)
+            print(os.path.exists("x.rtb.gz"))
+        """)) == ["planted:", "no", "space", "left", "0", "0", "False"]

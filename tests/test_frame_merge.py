@@ -15,10 +15,11 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -57,6 +58,30 @@ def _oracle(payloads) -> bytes:
 
 def _merge(payloads) -> bytes:
     return b"".join(merge_frames(payloads))
+
+
+def _files(payloads) -> list:
+    """Each payload in an open (already unlinked) file, as a sharded
+    run hands them to the merge."""
+    files = []
+    for payload in payloads:
+        fileobj = tempfile.TemporaryFile()
+        fileobj.write(payload)
+        fileobj.flush()
+        files.append(fileobj)
+    return files
+
+
+def _merge_files(payloads, window: int, monkeypatch) -> bytes:
+    """The merge reading ``payloads`` from files through ``window``-byte
+    windows."""
+    monkeypatch.setattr(binfmt, "_WINDOW_BYTES", window)
+    files = _files(payloads)
+    try:
+        return _merge(files)
+    finally:
+        for fileobj in files:
+            fileobj.close()
 
 
 # -- random group payloads -----------------------------------------------------
@@ -206,6 +231,40 @@ class TestFrameMergeOracle:
                    for block in blocks[:-1])
 
 
+# -- file payloads read through windows ----------------------------------------
+
+#: a string frame thousands of bytes long, past any small window
+_LONG_NAME = [_encode([_record(1.0, "c", 1, name="n" * 5000, fh="f"),
+                       _record(2.0, "c", 2, fh="f")]),
+              _encode([_record(1.5, "d", 1, fh="f")])]
+
+
+class TestWindowedMerge:
+    """Files are read through one reused window per stream; the bytes
+    must not depend on the window, down to one byte, with frames that
+    straddle a window's end or are longer than the window."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(group_payloads(), st.integers(min_value=1, max_value=200))
+    @example(_SHARED_FIRST_USES, 1)
+    @example(_LONG_NAME, 64)
+    @example([_encode([]), _encode([_record(0.0, "c", 1)])], 1)
+    def test_files_merge_like_bytes(self, monkeypatch, payloads, window):
+        assert _merge_files(payloads, window, monkeypatch) == _merge(payloads)
+
+    def test_default_window_on_many_blocks(self, monkeypatch):
+        group = [_record(float(i), "c", i, fh=f"f{i % 50}", count=i)
+                 for i in range(20_000)]
+        payloads = [_encode(group[0::2]), _encode(group[1::2])]
+        assert len(payloads[0]) > 4 * binfmt._WINDOW_BYTES
+        assert _merge_files(payloads, binfmt._WINDOW_BYTES, monkeypatch) \
+            == _oracle(payloads)
+
+    def test_a_long_frame_grows_the_window(self, monkeypatch):
+        assert _merge_files(_LONG_NAME, 64, monkeypatch) == _oracle(_LONG_NAME)
+
+
 # -- corrupt payloads ----------------------------------------------------------
 
 _HEADER = MAGIC + struct.pack("<H", FORMAT_VERSION)
@@ -248,17 +307,40 @@ class TestCorruptPayloads:
         "bad header": b"RTBX\x01\x00" + _GOOD,
     }
 
+    GOOD = _encode([_record(0.0, "a", 1), _record(9.0, "a", 2)])
+
     @pytest.mark.parametrize("case", list(CASES))
     @pytest.mark.parametrize("position", [0, 1])
     def test_raises_trace_format_error(self, case, position):
-        good = _encode([_record(0.0, "a", 1), _record(9.0, "a", 2)])
-        payloads = [good]
+        payloads = [self.GOOD]
         payloads.insert(position, self.CASES[case])
         with pytest.raises(TraceFormatError):
             list(merge_frames(payloads))
         # the record-level merge rejects the same payload
         with pytest.raises(TraceFormatError):
             _oracle(payloads)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("window", [1, 5, 11, 1 << 15])
+    def test_files_raise_the_same_error(self, case, window, monkeypatch):
+        payloads = [self.GOOD, self.CASES[case]]
+        with pytest.raises(TraceFormatError) as caught:
+            _merge(payloads)
+        with pytest.raises(TraceFormatError) as windowed:
+            _merge_files(payloads, window, monkeypatch)
+        assert str(windowed.value) == str(caught.value)
+
+    @pytest.mark.parametrize("cut", [1, 4, 6, 9, 30])
+    @pytest.mark.parametrize("window", [1, 7, 1 << 15])
+    def test_truncated_files_raise_the_same_error(self, cut, window,
+                                                  monkeypatch):
+        whole = _encode([_record(0.0, "a", 1, fh="f"), _record(9.0, "a", 2)])
+        payloads = [whole[:-cut]]
+        with pytest.raises(TraceFormatError) as caught:
+            _merge(payloads)
+        with pytest.raises(TraceFormatError) as windowed:
+            _merge_files(payloads, window, monkeypatch)
+        assert str(windowed.value) == str(caught.value)
 
 
 def test_nothing_compiles_at_import():

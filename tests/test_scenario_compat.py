@@ -94,7 +94,7 @@ class TestUnshardedByteIdentity:
 
 @functools.lru_cache(maxsize=None)
 def _sharded(system_name, shards, faults):
-    run = run_sharded(
+    with run_sharded(
         system_name,
         users=USERS[system_name],
         days=0.2,
@@ -102,10 +102,10 @@ def _sharded(system_name, shards, faults):
         shards=shards,
         warmup_days=0.5,
         faults=faults,
-    )
-    stats = run.fault_stats
-    injected = tuple(sorted(run.injected.items()))
-    return _text(run.merged()), stats, injected
+    ) as run:
+        stats = run.fault_stats
+        injected = tuple(sorted(run.injected.items()))
+        return _text(run.merged()), stats, injected
 
 
 @pytest.mark.parametrize("system_name", ("campus", "eecs"))

@@ -150,11 +150,11 @@ class TestShardedGeneric:
     def _sharded(shards, faults):
         # warmup 0: the ledgers account every captured packet, so the
         # merged stream must cover the same window for exactness
-        run = run_sharded(
+        with run_sharded(
             "fileserver", users=6, days=0.3, seed=11, shards=shards,
             warmup_days=0.0, faults=faults,
-        )
-        return _text(run.merged()), run.fault_stats
+        ) as run:
+            return _text(run.merged()), run.fault_stats
 
     def test_shard_counts_agree(self):
         base, _ = self._sharded(1, None)

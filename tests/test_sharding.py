@@ -18,6 +18,7 @@ from repro.obs.eventlog import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import pool_registry
 from repro.simcore.rng import shard_seed
+from repro.trace import binfmt
 from repro.trace.binfmt import BinaryTraceEncoder
 from repro.trace.collector import TraceCollector
 from repro.workloads.sharding import (
@@ -35,12 +36,25 @@ WARMUP = 1.40
 SEED = 11
 
 
+#: runs made by :func:`_run`, closed after each test
+_OPEN_RUNS = []
+
+
+@pytest.fixture(autouse=True)
+def _close_runs():
+    yield
+    while _OPEN_RUNS:
+        _OPEN_RUNS.pop().close()
+
+
 def _run(shards, *, faults=None, sample=0.0, system="campus", seed=SEED):
-    return run_sharded(
+    run = run_sharded(
         system, users=USERS, days=DAYS, seed=seed, shards=shards,
         mirror_bandwidth=2e6, faults=faults, trace_sample=sample,
         warmup_days=WARMUP,
     )
+    _OPEN_RUNS.append(run)
+    return run
 
 
 def _trace_bytes(run) -> bytes:
@@ -159,6 +173,19 @@ class TestShardInvariance:
         keys = [(r.time, r.client, r.xid) for r in first]
         assert keys == sorted(keys)
 
+    def test_interleaved_merges_agree(self, monkeypatch):
+        """Each merge reads the payload files at offsets of its own, so
+        two live merges of one run see the same stream."""
+        monkeypatch.setattr(binfmt, "_WINDOW_BYTES", 64)
+        monkeypatch.setattr(binfmt, "_FLUSH_BYTES", 512)
+        run = _run(2, system="eecs")
+        whole = list(run.merged())
+        assert len(whole) > 1000
+        first, second = run.merged(), run.merged()
+        pairs = list(zip(first, second))
+        assert next(second, None) is None
+        assert [a for a, _b in pairs] == [b for _a, b in pairs] == whole
+
     def test_ledger_matches_pairer_on_merged_trace(self):
         """The aggregated prediction is exact: the real pairer run over
         the merged stream must report exactly the summed ledger.
@@ -166,11 +193,11 @@ class TestShardInvariance:
         The ledgers account every captured packet, so the run's window
         must start at 0 for the merged stream to cover the same set.
         """
-        run = run_sharded(
+        with run_sharded(
             "campus", users=USERS, days=0.2, seed=SEED, shards=2,
             mirror_bandwidth=2e6, faults="drop(p=0.05)", warmup_days=0.0,
-        )
-        _ops, stats = pair_all(list(run.merged()))
+        ) as run:
+            _ops, stats = pair_all(list(run.merged()))
         assert stats.calls > 0
         assert stats == run.fault_stats
 
@@ -238,6 +265,41 @@ class TestPoolReuse:
         assert ("simulate", 2) in pool_registry()
         assert all(purpose in ("simulate", "analysis")
                    for purpose, _size in pool_registry())
+
+
+class TestParentMemory:
+    """The parent holds no group stream: from the fan-out through the
+    written ``.rtb.gz``, its traced allocations do not grow with the
+    simulated days (they did, by each payload's size, while the parent
+    read the payloads into memory)."""
+
+    @staticmethod
+    def _peak(days, path) -> tuple[int, int]:
+        """Traced bytes held after ``run_sharded`` returns, and the
+        traced peak through the write."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with run_sharded("eecs", users=USERS, days=days, seed=SEED,
+                             shards=2, warmup_days=1.3) as run:
+                held = tracemalloc.get_traced_memory()[0]
+                assert run.write(path) == run.record_count > 0
+            return held, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_write_peak_is_flat_in_days(self, tmp_path):
+        _run(2)  # the pool forks before tracing starts
+        (short_held, short), (long_held, long) = (
+            self._peak(days, tmp_path / f"{days}.rtb.gz")
+            for days in (0.1, 0.6)
+        )
+        # six times the days, about five times the payload bytes
+        assert (tmp_path / "0.6.rtb.gz").stat().st_size \
+            > 4 * (tmp_path / "0.1.rtb.gz").stat().st_size
+        assert max(short_held, long_held) < 256 * 1024
+        assert long < 1.25 * short
 
 
 class TestShardRunAccounting:

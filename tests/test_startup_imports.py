@@ -27,7 +27,8 @@ TIMEOUT = 120
 
 #: what ``import repro.cli.main`` must leave unloaded
 NOT_AT_START_UP = (
-    "http.server", "ssl", "repro.workloads.harness", "repro.scenarios.spec",
+    "http.server", "ssl", "_hashlib", "repro.workloads.harness",
+    "repro.scenarios.spec",
     "repro.faults.injector", "repro.client", "repro.server", "repro.netsim",
     "repro.fs.filesystem", "repro.anonymize", "repro.ingest",
     "repro.stream.monitor", "repro.stream.live", "repro.obs.rotate",
@@ -119,6 +120,42 @@ def test_simulate_loads_no_ingest_or_http(tmp_path, extra):
     assert "repro.workloads.harness" in loaded
     assert not loaded.intersection(
         ("repro.ingest", "repro.anonymize", "http.server"))
+
+
+NFSDUMP = str(Path(__file__).parent / "fixtures" / "ingest" / "nfsdump.txt")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--in", "TRACE"],
+    ["analyze", "--in", "TRACE", "--stream"],
+    SIMULATE,
+    SIMULATE + ["--shards", "1"],
+    ["ingest", "--in", NFSDUMP, "--format", "auto", "--out", "y.rtb"],
+], ids=["analyze", "analyze-stream", "simulate", "simulate-shards-1",
+        "ingest"])
+def test_pool_free_commands_load_no_openssl(tmp_path, trace, argv):
+    """``hashlib`` would load OpenSSL's libcrypto (megabytes of resident
+    memory) for the one hash the toolkit computes, BLAKE2b, which
+    :mod:`repro._hashing` takes from CPython's own ``_blake2``.  (A pool
+    loads it anyway: ``multiprocessing`` imports ``hmac``.)"""
+    loaded = _loaded(tmp_path, _run_cli(_on(argv, trace)))
+    assert "_hashlib" not in loaded
+
+
+def test_blake2b_digests_equal_hashlib():
+    import hashlib
+
+    from repro._hashing import blake2b
+
+    for data, kwargs in [
+        (b"", {}),
+        (b"campus/7/READ", {"digest_size": 16}),
+        ("shard:g3".encode(), {"digest_size": 8,
+                               "key": (7).to_bytes(8, "little")}),
+        (bytes(range(256)) * 9, {"digest_size": 64}),
+    ]:
+        assert blake2b(data, **kwargs).digest() \
+            == hashlib.blake2b(data, **kwargs).digest()
 
 
 #: wraps each pool task so a worker records what it imported after the

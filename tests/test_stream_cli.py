@@ -99,13 +99,14 @@ class TestAnalyzeStream:
 
 
 class TestWatch:
-    #: sha256 of the snapshot block (stderr) of ``WATCH``: its totals,
-    #: latency and hot-file lines read the engine's analyses mid-run.
-    #: 3.11 and 3.12 print the same snapshots.
+    #: sha256 of the snapshot block (stderr) of ``WATCH``: its headers
+    #: print the simulated clock at each tick, and its totals, latency
+    #: and hot-file lines read the engine's analyses mid-run.  3.11 and
+    #: 3.12 print the same snapshots.
     WATCH = ["watch", "--system", "campus", "--users", "2", "--days", "0.3",
              "--seed", "21", "--interval", "3600"]
     SNAPSHOTS = (
-        "776084bd7f487e8b54d9ccb97c8d1dbae218075c4904d0367dac54a27882aa62"
+        "ca830be4de63acbb895fb1dfdda371c1c09c79cd43d1d48f256e91ee5ad182e0"
     )
 
     def test_snapshot_lines_match_pinned_digest(self, capsys):
@@ -121,6 +122,12 @@ class TestWatch:
                 busy += 1
                 assert re.match(r"  totals: [1-9][\d,]* reads", totals)
         assert busy >= 3
+        # the header reads the loop's clock, which every tick advances,
+        # quiet ticks included
+        times = [float(t) for t in re.findall(r"^\[watch\] sim +([\d.]+)d",
+                                              err, re.MULTILINE)]
+        assert len(times) == 8
+        assert all(a < b for a, b in zip(times, times[1:])), times
         assert hashlib.sha256(err.encode()).hexdigest() == self.SNAPSHOTS
 
     def test_renders_live_snapshots(self, capsys):
